@@ -68,7 +68,7 @@ type row = {
   critpath : Xinv_obs.Critpath.verdict option;
 }
 
-let backend ~work ~grain = `Native { C.native_defaults with C.work; grain }
+let backend ~work = `Native { C.native_defaults with C.work }
 
 let dominant stalls =
   match List.sort (fun (_, a) (_, b) -> compare b a) stalls with
@@ -84,7 +84,7 @@ let time_config ~work ~grain ~input (wl : Wl.Workload.t) technique domains =
   let best = ref infinity and best_stalls = ref [] and best_analysis = ref 0. in
   for i = 0 to repeats do
     let o =
-      C.run_request @@ C.Request.make ~backend:(backend ~work ~grain) ~input ~verify:(i = 0)
+      C.run_request @@ C.Request.make ~backend:(backend ~work) ~grain ~input ~verify:(i = 0)
         ~technique ~threads:domains wl
     in
     (* i = 0 is the warmup (and the verified run); the rest are timed. *)
@@ -112,8 +112,8 @@ let time_config ~work ~grain ~input (wl : Wl.Workload.t) technique domains =
         let o =
           C.run_request @@ C.Request.make
             ~backend:
-              (`Native { C.native_defaults with C.work; grain; flight = true })
-            ~input ~verify:false ~technique ~threads:domains wl
+              (`Native { C.native_defaults with C.work; flight = true })
+            ~grain ~input ~verify:false ~technique ~threads:domains wl
         in
         match o.C.flight with
         | Some fl ->
@@ -279,7 +279,7 @@ let smoke () =
     (fun (tname, tech) ->
       let o =
         C.run_request @@ C.Request.make
-          ~backend:(backend ~work:Nat.Work.Off ~grain:C.native_defaults.C.grain)
+          ~backend:(backend ~work:Nat.Work.Off)
           ~input ~technique:tech ~threads:2 wl
       in
       if not o.C.verified then begin
@@ -314,7 +314,7 @@ let smoke () =
   Unix.mkdir cdir 0o755;
   let cached () =
     C.run_request @@ C.Request.make
-      ~backend:(backend ~work:Nat.Work.Off ~grain:C.native_defaults.C.grain)
+      ~backend:(backend ~work:Nat.Work.Off)
       ~input ~cache:`Rw ~cache_dir:cdir ~technique:C.Domore ~threads:2 wl
   in
   let cold = cached () in
@@ -345,7 +345,7 @@ let smoke () =
    PDG/SCC/partition/profiling, so repeat-run analysis time collapses. *)
 let cache_bench ~json =
   let input = Wl.Workload.Train in
-  let grain = C.native_defaults.C.grain in
+  let grain = Xinv_cache.Policy.default.grain in
   let rows =
     List.concat_map
       (fun wname ->
@@ -357,7 +357,7 @@ let cache_bench ~json =
             Unix.mkdir cdir 0o755;
             let go cache =
               C.run_request @@ C.Request.make
-                ~backend:(backend ~work:Nat.Work.Off ~grain)
+                ~backend:(backend ~work:Nat.Work.Off) ~grain
                 ~input ?cache_dir:(if cache = `Off then None else Some cdir)
                 ~cache ~technique:tech ~threads:2 wl
             in
@@ -503,10 +503,11 @@ let tuned_bench ~json =
     for i = 0 to repeats do
       let o =
         C.run_request
-        @@ C.Request.make ~input
-             ~backend:(`Native native)
-             ~policy:(`Reified (p, "searched"))
-             ~technique:C.Sequential ~threads:1 wl
+          {
+            C.Request.workload = wl;
+            spec = { (C.Spec.make ~input ()) with policy = p };
+            ctx = { C.Request.default_ctx with native };
+          }
       in
       if not o.C.verified then begin
         Printf.eprintf "FATAL: tuned policy %s failed verification\n"
@@ -586,7 +587,7 @@ let tuned_bench ~json =
             Some
               (C.run_request @@ C.Request.make
                  ~backend:(`Native { C.native_defaults with C.work })
-                 ~input ~cache:`Ro ~cache_dir:cdir ~policy:(`Adaptive ctl)
+                 ~input ~cache:`Ro ~cache_dir:cdir ~mode:`Auto ~adaptive:ctl
                  ~technique:C.Domore
                  ~threads:(Stdlib.min 4 (Stdlib.max 2 cores))
                  wl)
@@ -766,7 +767,7 @@ let () =
         | _ ->
             prerr_endline "--grain wants a positive integer";
             exit 2)
-    | None -> C.native_defaults.C.grain
+    | None -> Xinv_cache.Policy.default.grain
   in
   if has "--smoke" then smoke ()
   else if has "--cache-bench" then cache_bench ~json:(opt "--json")

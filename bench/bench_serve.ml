@@ -192,7 +192,7 @@ let emit_json ~out rows =
   Buffer.add_string b "  \"schema\": \"xinv-serve-bench/1\",\n";
   Buffer.add_string b
     (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string b "  \"protocol\": \"xinv-serve/1\",\n";
+  Buffer.add_string b (Printf.sprintf "  \"protocol\": \"%s\",\n" Xinv_serve.Wire.schema);
   Buffer.add_string b "  \"input\": \"train\",\n";
   Buffer.add_string b "  \"results\": [\n";
   let n = List.length rows in

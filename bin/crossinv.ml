@@ -127,7 +127,11 @@ let deadline_arg =
     value
     & opt (some float) None
     & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Overall native-run deadline in milliseconds, degradation included.")
+        ~doc:
+          "Overall native-run deadline in milliseconds, degradation included. \
+           With $(b,submit) it is an end-to-end budget from submission, \
+           queue wait included: an expired queued request is rejected, a \
+           running one is cut off by the daemon's watchdog.")
 
 let no_degrade_arg =
   Arg.(
@@ -136,27 +140,6 @@ let no_degrade_arg =
         ~doc:
           "On a native failure, raise the typed error instead of retrying under \
            a weaker technique.")
-
-let grain_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "grain" ] ~docv:"N"
-        ~doc:
-          "Native chunk size: iterations dispatched/distributed as one block \
-           (barrier block-cyclic blocks, DOMORE chunk frames, SPECCROSS \
-           speculative blocks).  Default 1 reproduces the per-iteration \
-           protocols exactly.")
-
-let batch_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "batch" ] ~docv:"N"
-        ~doc:
-          "Native write-combining factor: queue words per atomic publish in \
-           the DOMORE scheduler (default 32); 1 publishes per word like the \
-           unbatched protocol.")
 
 let cache_mode_arg =
   Arg.(
@@ -197,19 +180,6 @@ let postmortem_dir_arg =
            fault, watchdog stall, worker exception), whether it degrades or \
            escapes.")
 
-let policy_arg =
-  Arg.(
-    value
-    & opt (enum [ ("fixed", `Fixed); ("auto", `Auto); ("adaptive", `Adaptive) ])
-        `Fixed
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "Where the run's configuration comes from: $(b,fixed) (the flags on \
-           this command line, the default), $(b,auto) (a tuned policy stored \
-           in the analysis cache by $(b,xinv tune), falling back to the flags \
-           on a miss — requires $(b,--cache)) or $(b,adaptive) (auto \
-           resolution under the online probe-and-switch controller).")
-
 (* Invalid numeric arguments are a usage error, distinct from run failures:
    typed one-line message, exit 3. *)
 let usage_error fmt =
@@ -219,57 +189,96 @@ let usage_error fmt =
       exit 3)
     fmt
 
-let run_cmd =
-  let run wl technique threads input backend domains verbose stats inject
-      deadline_ms no_degrade grain batch cache cache_dir flight postmortem_dir
-      policy =
-    (match (backend, domains) with
-    | `Sim, Some _ ->
-        prerr_endline
-          "--domains only applies to the native backend (use --threads for \
-           simulated cores, or add --backend native)";
-        exit 1
-    | _ -> ());
-    if backend = `Sim && (inject <> None || deadline_ms <> None || no_degrade)
-    then begin
-      prerr_endline
-        "--inject, --deadline-ms and --no-degrade only apply to the native \
-         backend (add --backend native)";
-      exit 1
-    end;
-    if backend = `Sim && (grain <> None || batch <> None) then begin
-      prerr_endline
-        "--grain and --batch only apply to the native backend (add --backend \
-         native)";
-      exit 1
-    end;
-    if backend = `Sim && (flight || postmortem_dir <> None) then begin
-      prerr_endline
-        "--flight and --postmortem-dir only apply to the native backend (add \
-         --backend native)";
-      exit 1
-    end;
-    (match grain with
-    | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
-    | _ -> ());
-    (match batch with
-    | Some b when b < 1 -> usage_error "--batch must be >= 1 (got %d)" b
-    | _ -> ());
-    (match domains with
-    | Some d when d < 1 -> usage_error "--domains must be >= 1 (got %d)" d
-    | _ -> ());
-    (match deadline_ms with
-    | Some ms when ms <= 0. ->
-        usage_error "--deadline-ms must be > 0 (got %g)" ms
-    | _ -> ());
-    let threads =
-      match (domains, threads) with
-      | Some n, _ | None, Some n -> n
-      | None, None -> ( match backend with `Sim -> 24 | `Native -> 4)
+(* The request spec from the flags [run] and [submit] share.  [--threads]
+   defaults by backend (24 simulated cores or 4 real domains); the second
+   component says [--policy adaptive] asked for the online controller. *)
+let spec_term ~adaptive =
+  let grain =
+    Arg.(
+      value
+      & opt int Xinv_cache.Policy.default.grain
+      & info [ "grain" ] ~docv:"N"
+          ~doc:
+            "Native chunk size: iterations dispatched/distributed as one \
+             block (barrier block-cyclic blocks, DOMORE chunk frames, \
+             SPECCROSS speculative blocks).  Default 1 reproduces the \
+             per-iteration protocols exactly.")
+  in
+  let batch =
+    Arg.(
+      value
+      & opt int Xinv_cache.Policy.default.batch
+      & info [ "batch" ] ~docv:"N"
+          ~doc:
+            "Native write-combining factor: queue words per atomic publish \
+             in the DOMORE scheduler (default 32); 1 publishes per word like \
+             the unbatched protocol.")
+  in
+  let policy =
+    let modes =
+      [ ("fixed", (`Fixed, false)); ("auto", (`Auto, false)) ]
+      @ if adaptive then [ ("adaptive", (`Auto, true)) ] else []
     in
-    if threads < 1 then
-      usage_error "--threads/--domains must be >= 1 (got %d)" threads;
-    let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
+    Arg.(
+      value
+      & opt (enum modes) (`Fixed, false)
+      & info [ "policy" ] ~docv:"POLICY"
+          ~doc:
+            "Where the run's configuration comes from: $(b,fixed) (the flags \
+             on this command line, the default), $(b,auto) (a tuned policy \
+             stored in the analysis cache by $(b,xinv tune), falling back to \
+             the flags on a miss — requires $(b,--cache)) or, for $(b,run), \
+             $(b,adaptive) (auto resolution under the online probe-and-switch \
+             controller).")
+  in
+  let make technique threads input backend grain batch cache (mode, adaptive)
+      =
+    let default = match backend with `Sim -> 24 | `Native -> 4 in
+    let threads = Option.value threads ~default in
+    ( Cx.Spec.make ~input ~backend ~technique:(Cx.technique_name technique)
+        ~threads ~grain ~batch ~mode ~cache (),
+      adaptive )
+  in
+  Term.(
+    const make $ tech_arg $ run_threads_arg $ input_arg $ backend_arg $ grain
+    $ batch $ cache_mode_arg $ policy)
+
+let validate ?deadline_ms spec =
+  match Cx.Spec.validate ?deadline_ms spec with
+  | Ok () -> ()
+  | Error msg -> usage_error "%s" msg
+
+let run_cmd =
+  let run wl (spec, adaptive) domains verbose stats inject deadline_ms
+      no_degrade cache_dir flight postmortem_dir =
+    let p = spec.Cx.Spec.policy in
+    let backend = p.Xinv_cache.Policy.backend in
+    let native_only flags =
+      prerr_endline
+        (flags ^ " only apply to the native backend (add --backend native)");
+      exit 1
+    in
+    if backend = `Sim then begin
+      if domains <> None then
+        native_only "--domains (use --threads for simulated cores)";
+      if inject <> None || deadline_ms <> None || no_degrade then
+        native_only "--inject, --deadline-ms and --no-degrade";
+      if p.grain <> Xinv_cache.Policy.default.grain
+         || p.batch <> Xinv_cache.Policy.default.batch
+      then native_only "--grain and --batch";
+      if flight || postmortem_dir <> None then
+        native_only "--flight and --postmortem-dir"
+    end;
+    let spec =
+      match domains with
+      | Some d -> { spec with policy = { p with domains = d } }
+      | None -> spec
+    in
+    validate ?deadline_ms spec;
+    let technique = Option.get (Cx.technique_of_string p.technique) in
+    let threads = spec.Cx.Spec.policy.domains in
+    let input = spec.Cx.Spec.input and cache = spec.Cx.Spec.cache in
+    let backend_name = Xinv_cache.Policy.backend_name backend in
     (* The applicability probe reads the cache but never warms it, so the
        run's own hit/miss line reflects what was on disk beforehand. *)
     let probe_cache = match cache with `Off -> `Off | `Ro | `Rw -> `Ro in
@@ -284,34 +293,30 @@ let run_cmd =
         exit 1
     | Ok () ->
         let obs = if stats then Some (Xinv_obs.Recorder.create ()) else None in
-        let b =
-          match backend with
-          | `Sim -> `Sim None
-          | `Native ->
-              `Native
-                {
-                  Cx.native_defaults with
-                  Cx.fault = inject;
-                  deadline_ms;
-                  degrade = not no_degrade;
-                  grain = Option.value grain ~default:Cx.native_defaults.Cx.grain;
-                  batch = Option.value batch ~default:Cx.native_defaults.Cx.batch;
-                  flight;
-                  postmortem_dir;
-                }
+        let native =
+          {
+            Cx.native_defaults with
+            Cx.fault = inject;
+            deadline_ms;
+            degrade = not no_degrade;
+            flight;
+            postmortem_dir;
+          }
         in
-        let policy =
-          match policy with
-          | `Fixed -> `Fixed
-          | `Auto -> `Auto
-          | `Adaptive -> `Adaptive (Cx.adaptive ())
+        let ctx =
+          {
+            Cx.Request.default_ctx with
+            obs;
+            cache_dir;
+            native;
+            adaptive = (if adaptive then Some (Cx.adaptive ()) else None);
+          }
         in
         let o =
           (* With --no-degrade (or an exhausted deadline) the native run
              surfaces its typed error; report it instead of a backtrace. *)
           match
-            Cx.run_request @@ Cx.Request.make ~backend:b ~input ~cache ?cache_dir ?obs ~policy ~technique
-              ~threads wl
+            Cx.run_request { Cx.Request.workload = wl; spec; ctx }
           with
           | o -> o
           | exception Xinv_native.Fault.Injected { kind; domain; site } ->
@@ -422,10 +427,9 @@ let run_cmd =
           simulated multicore or on real domains (--backend native), with \
           optional fault injection and deadlines.")
     Term.(
-      const run $ wl_arg $ tech_arg $ run_threads_arg $ input_arg $ backend_arg
-      $ domains_arg $ verbose $ stats $ inject_arg $ deadline_arg
-      $ no_degrade_arg $ grain_arg $ batch_arg $ cache_mode_arg $ cache_dir_arg
-      $ flight_arg $ postmortem_dir_arg $ policy_arg)
+      const run $ wl_arg $ spec_term ~adaptive:true $ domains_arg $ verbose
+      $ stats $ inject_arg $ deadline_arg $ no_degrade_arg $ cache_dir_arg
+      $ flight_arg $ postmortem_dir_arg)
 
 (* ---- stats ---- *)
 
@@ -1330,7 +1334,7 @@ let serve_cmd =
           one analysis-cache configuration and one metrics registry serving \
           run/tune/stats requests from $(b,xinv submit), $(b,xinv ping), \
           $(b,xinv serve-stats) and $(b,xinv shutdown) over a Unix-domain \
-          socket ($(b,xinv-serve/1) protocol).")
+          socket ($(b,xinv-serve/2) protocol).")
     Term.(
       const run $ socket_arg $ domains $ capacity $ cache_mode_arg
       $ cache_dir_arg $ default_deadline)
@@ -1340,15 +1344,11 @@ let submit_cmd =
     Arg.(
       value
       & opt
-          (some
-             (enum
-                [
-                  ("range", `Range);
-                  ("segmented", `Segmented);
-                  ("bloom", `Bloom);
-                  ("exact", `Exact);
-                ]))
-          None
+          (enum
+             (List.map
+                (fun k -> (Xinv_cache.Policy.sig_kind_name k, k))
+                [ `Range; `Segmented; `Bloom; `Exact ]))
+          Xinv_cache.Policy.default.sig_kind
       & info [ "sig" ] ~docv:"KIND"
           ~doc:"SPECCROSS signature kind: range, segmented, bloom or exact.")
   in
@@ -1383,33 +1383,25 @@ let submit_cmd =
       & info [ "no-verify" ]
           ~doc:"Skip comparing the parallel run against the oracle.")
   in
-  let run socket wl technique threads input backend policy grain batch sig_kind
-      spec_distance cache inject deadline_ms priority tenant no_verify =
-    (match grain with
-    | Some g when g < 1 -> usage_error "--grain must be >= 1 (got %d)" g
-    | _ -> ());
-    (match batch with
-    | Some b when b < 1 -> usage_error "--batch must be >= 1 (got %d)" b
-    | _ -> ());
-    (match deadline_ms with
-    | Some ms when ms <= 0. ->
-        usage_error "--deadline-ms must be > 0 (got %g)" ms
-    | _ -> ());
-    let threads =
-      match threads with
-      | Some n -> n
-      | None -> ( match backend with `Sim -> 24 | `Native -> 4)
+  let run socket (wl : Wl.Workload.t) (spec, _) sig_kind spec_distance inject
+      deadline_ms priority tenant no_verify =
+    let spec =
+      {
+        spec with
+        Cx.Spec.policy = { spec.Cx.Spec.policy with sig_kind; spec_distance };
+        verify = not no_verify;
+      }
     in
-    if threads < 1 then
-      usage_error "--threads/--domains must be >= 1 (got %d)" threads;
+    validate ?deadline_ms spec;
     let req =
-      SReq.make ~input ~backend
-        ~technique:(Cx.technique_name technique)
-        ~threads ~policy
-        ?grain ?batch ?sig_kind ?spec_distance ~verify:(not no_verify) ~cache
-        ?fault:(Option.map Xinv_native.Fault.spec_to_string inject)
-        ?deadline_ms ~priority ~tenant
-        (`Name wl.Wl.Workload.name)
+      {
+        SReq.workload = wl.Wl.Workload.name;
+        spec;
+        fault = Option.map Xinv_native.Fault.spec_to_string inject;
+        deadline_ms;
+        priority;
+        tenant;
+      }
     in
     match client_call socket (Proto.Run req) with
     | Proto.Outcome s as reply ->
@@ -1431,39 +1423,6 @@ let submit_cmd =
       & pos 0 (some workload_conv) None
       & info [] ~docv:"WORKLOAD" ~doc:"Registry workload to run.")
   in
-  let grain_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "grain" ] ~docv:"N" ~doc:"Native chunk size (default 1).")
-  in
-  let batch_opt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Native write-combining factor (default 32).")
-  in
-  let submit_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "End-to-end budget from submission, queue wait included; an \
-             expired queued request is rejected, a running one is cut off \
-             by the daemon's watchdog.")
-  in
-  let submit_policy =
-    Arg.(
-      value
-      & opt (enum [ ("fixed", `Fixed); ("auto", `Auto) ]) `Fixed
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:
-            "$(b,fixed) (the flags on this command line) or $(b,auto) (a \
-             tuned policy from the daemon's analysis cache, falling back to \
-             the flags on a miss).")
-  in
   Cmd.v
     (Cmd.info "submit"
        ~doc:
@@ -1471,10 +1430,9 @@ let submit_cmd =
           the outcome.  Exit status: 0 verified, 2 completed unverified, 1 \
           rejected/failed/unreachable.")
     Term.(
-      const run $ socket_arg $ wl_arg $ tech_arg $ run_threads_arg $ input_arg
-      $ backend_arg $ submit_policy $ grain_opt $ batch_opt $ sig_arg
-      $ spec_arg $ cache_mode_arg $ inject_arg $ submit_deadline
-      $ priority_arg $ tenant_arg $ no_verify_arg)
+      const run $ socket_arg $ wl_arg $ spec_term ~adaptive:false $ sig_arg
+      $ spec_arg $ inject_arg $ deadline_arg $ priority_arg $ tenant_arg
+      $ no_verify_arg)
 
 let ping_cmd =
   let run socket =

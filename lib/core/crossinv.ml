@@ -40,7 +40,11 @@ let technique_of_string s =
   | "domore" -> Some Domore
   | "domore-dup" -> Some Domore_dup
   | "speccross" -> Some Speccross
-  | _ -> None
+  | s -> (
+      match String.split_on_char '@' s with
+      | [ "speccross-inject"; e ] ->
+          Option.map (fun e -> Speccross_inject e) (int_of_string_opt e)
+      | _ -> None)
 
 type cost = Sim_cycles of float | Wall_ns of float
 
@@ -57,8 +61,6 @@ type native_opts = {
   deadline_ms : float option;
   wait_timeout_ms : float option;
   degrade : bool;
-  grain : int;
-  batch : int;
   flight : bool;
   flight_capacity : int;
   postmortem_dir : string option;
@@ -74,8 +76,6 @@ let native_defaults =
     deadline_ms = None;
     wait_timeout_ms = None;
     degrade = true;
-    grain = 1;
-    batch = 32;
     flight = false;
     flight_capacity = Xinv_obs.Flight.default_capacity;
     postmortem_dir = None;
@@ -225,20 +225,17 @@ let spec_distance_of prof ~workers =
       Stdlib.max (4 * workers)
         (int_of_float (4. *. prof.Xinv_speccross.Profiler.avg_tasks_per_epoch))
 
-(* ---- tunable SPECCROSS knobs ----
-
-   The signature scheme and the speculative distance were hard-wired
-   (Segmented over the live memory bounds; the profiled distance); both are
-   now policy axes.  [None] keeps the historical default, so every existing
-   call site is unchanged. *)
+(* The two SPECCROSS policy axes: the signature scheme ([`Segmented] over
+   the live memory bounds by default) and the speculative distance ([None]
+   keeps the profiled one). *)
 
 let reify_sig sel env =
   match sel with
-  | None | Some `Segmented ->
+  | `Segmented ->
       Xinv_runtime.Signature.Segmented (Ir.Memory.bounds env.Ir.Env.mem)
-  | Some `Range -> Xinv_runtime.Signature.Range
-  | Some `Bloom -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 }
-  | Some `Exact -> Xinv_runtime.Signature.Exact
+  | `Range -> Xinv_runtime.Signature.Range
+  | `Bloom -> Xinv_runtime.Signature.Bloom { bits = 4096; hashes = 3 }
+  | `Exact -> Xinv_runtime.Signature.Exact
 
 (* An overridden distance below the worker count would let the throttle
    strangle the pipeline; clamp like the profiled default does. *)
@@ -249,8 +246,8 @@ let resolve_spec_distance override prof ~workers =
 
 (* ---- simulated backend ---- *)
 
-let run_sim ~actx ~machine ~input ~checkpoint_every ~sig_sel ~spec_override
-    ?obs ~technique ~threads (wl : Wl.Workload.t) =
+let run_sim ~actx ~machine ~input ~(policy : Cache.Policy.t) ?obs ~technique
+    ~threads (wl : Wl.Workload.t) =
   let program = wl.Wl.Workload.program input in
   let env = wl.Wl.Workload.fresh_env input in
   let plan = Wl.Workload.plan_fn wl in
@@ -327,9 +324,11 @@ let run_sim ~actx ~machine ~input ~checkpoint_every ~sig_sel ~spec_override
             {
               Xinv_speccross.Runtime.machine;
               workers;
-              sig_kind = reify_sig sig_sel env;
-              checkpoint_every;
-              spec_distance = resolve_spec_distance spec_override prof ~workers;
+              sig_kind = reify_sig policy.Cache.Policy.sig_kind env;
+              checkpoint_every = policy.Cache.Policy.epoch_size;
+              spec_distance =
+                resolve_spec_distance policy.Cache.Policy.spec_distance prof
+                  ~workers;
               mode_of = spec_mode_of_plan wl;
               inject_misspec = inject;
               non_spec_barriers = false;
@@ -356,17 +355,18 @@ let native_pool_size ~technique ~threads =
   | Doacross | Dswp | Inspector | Tls -> 0
 
 (* One native attempt of one technique; raises on failure. *)
-let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
-    ~sig_sel ~spec_override ~technique ~threads (wl : Wl.Workload.t) env =
+let run_native_once ~actx ~opts ~wd ~fault ?fr ~input
+    ~(policy : Cache.Policy.t) ~technique ~threads (wl : Wl.Workload.t) env =
   let program = wl.Wl.Workload.program input in
   let plan = Wl.Workload.plan_fn wl in
   let work = opts.work in
+  let grain = policy.Cache.Policy.grain and batch = policy.Cache.Policy.batch in
   let with_pool f =
     match opts.pool with
     | Some pool -> f pool
     | None -> Nat.Pool.with_pool ~workers:(native_pool_size ~technique ~threads) f
   in
-  let policy =
+  let sched =
     if wl.Wl.Workload.mem_partition then Xinv_domore.Policy.Mem_partition
     else Xinv_domore.Policy.Round_robin
   in
@@ -378,15 +378,15 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
            (technique_name technique))
   | Barrier ->
       ( with_pool (fun pool ->
-            Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ~grain:opts.grain
-              ~threads ~plan program env),
+            Nat.Nbarrier.run ~pool ~wd ?fault ?fr ~work ~grain ~threads ~plan
+              program env),
         None )
   | Domore ->
       let mplan = native_mtcg_plan ~actx program env wl.Wl.Workload.name in
       let workers = Stdlib.max 1 (threads - 1) in
       let config =
         { (Nat.Ndomore.default_config ~workers) with
-          Nat.Ndomore.policy; work; grain = opts.grain; batch = opts.batch }
+          Nat.Ndomore.policy = sched; work; grain; batch }
       in
       ( with_pool (fun pool ->
             Nat.Ndomore.run ~pool ~wd ?fault ?fr ~config ~plan:mplan program env),
@@ -395,7 +395,7 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
       let mplan = native_mtcg_plan ~actx program env wl.Wl.Workload.name in
       let config =
         { (Nat.Ndomore.default_config ~workers:threads) with
-          Nat.Ndomore.policy; work; grain = opts.grain; batch = opts.batch }
+          Nat.Ndomore.policy = sched; work; grain; batch }
       in
       ( with_pool (fun pool ->
             Nat.Ndomore.run_duplicated ~pool ~wd ?fault ?fr ~config ~plan:mplan
@@ -418,13 +418,15 @@ let run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
         let config =
           {
             (Nat.Nspec.default_config ~workers) with
-            Nat.Nspec.sig_kind = reify_sig sig_sel env;
-            checkpoint_every;
-            spec_distance = resolve_spec_distance spec_override prof ~workers;
+            Nat.Nspec.sig_kind = reify_sig policy.Cache.Policy.sig_kind env;
+            checkpoint_every = policy.Cache.Policy.epoch_size;
+            spec_distance =
+              resolve_spec_distance policy.Cache.Policy.spec_distance prof
+                ~workers;
             mode_of = spec_mode_of_plan wl;
             inject_misspec = inject;
             work;
-            grain = opts.grain;
+            grain;
           }
         in
         ( with_pool (fun pool ->
@@ -491,8 +493,8 @@ let source_code source =
   | "default" -> 3
   | _ -> 4 (* adaptive:* *)
 
-let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
-    ~spec_override ~technique ~threads (wl : Wl.Workload.t) =
+let run_native ~actx ~opts ~source ~input ~policy ?obs ~technique ~threads
+    (wl : Wl.Workload.t) =
   let program = wl.Wl.Workload.program input in
   (* Wall-clock baseline and bit-exact reference memory in one pass. *)
   let seq_env = wl.Wl.Workload.fresh_env input in
@@ -598,8 +600,8 @@ let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
           (tech, nrun, profile, env)
         in
         match
-          run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~checkpoint_every
-            ~sig_sel ~spec_override ~technique:tech ~threads wl env
+          run_native_once ~actx ~opts ~wd ~fault ?fr ~input ~policy
+            ~technique:tech ~threads wl env
         with
         | result -> finish result
         | exception e when rest <> [] && opts.degrade && degradable e ->
@@ -661,16 +663,13 @@ let run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
 (* ---- unified entry point ---- *)
 
 (* One fully-resolved execution: every knob pinned, no policy lookup. *)
-let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
-    ~sig_sel ~spec_override ~technique ~threads (wl : Wl.Workload.t) =
-  assert (threads > 0);
+let run_configured ~actx ~source ~backend ~input ~verify ~policy ?obs
+    ~technique ~threads (wl : Wl.Workload.t) =
   match backend with
   | `Sim machine ->
-      let machine = Option.value machine ~default:Sim.Machine.default in
       let seq_cost, seq_env = sequential_cost wl input in
       let run, profile, env =
-        run_sim ~actx ~machine ~input ~checkpoint_every ~sig_sel ~spec_override
-          ?obs ~technique ~threads wl
+        run_sim ~actx ~machine ~input ~policy ?obs ~technique ~threads wl
       in
       let mismatches =
         if verify && technique <> Sequential then
@@ -706,8 +705,8 @@ let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
   | `Native opts ->
       let ( nrun, seq_run, profile, env, seq_env, executed, degraded, flight,
             postmortems ) =
-        run_native ~actx ~opts ~source ~input ~checkpoint_every ?obs ~sig_sel
-          ~spec_override ~technique ~threads wl
+        run_native ~actx ~opts ~source ~input ~policy ?obs ~technique ~threads
+          wl
       in
       let requested_sequential = technique = Sequential && degraded = [] in
       let mismatches =
@@ -734,23 +733,6 @@ let run_configured ~actx ~source ~backend ~input ~checkpoint_every ~verify ?obs
         postmortems;
         policy_source = source;
       }
-
-(* ---- policy resolution ---- *)
-
-let technique_of_policy (p : Cache.Policy.t) =
-  match technique_of_string p.Cache.Policy.technique with
-  | Some t -> t
-  | None -> Sequential
-
-(* The policy pins the performance axes (grain, batch); the caller's
-   native_opts keep supplying the environmental ones (work model, pool,
-   faults, deadlines, flight recording). *)
-let backend_of_policy ~native (p : Cache.Policy.t) =
-  match p.Cache.Policy.backend with
-  | `Sim -> `Sim None
-  | `Native ->
-      `Native
-        { native with grain = p.Cache.Policy.grain; batch = p.Cache.Policy.batch }
 
 (* ---- online adaptive controller ---- *)
 
@@ -817,142 +799,177 @@ let adaptive_note t ~cand_ns ~seq_ns =
         `Keep
       end
 
-type policy =
-  [ `Fixed | `Auto | `Adaptive of adaptive | `Reified of Cache.Policy.t * string ]
+(* ---- requests ---- *)
 
-(* ---- the request record ----
+module Spec = struct
+  type mode = [ `Fixed | `Auto ]
 
-   Every way of asking this library for one execution — the historical
-   optional-argument [run], the reified-policy [run_policy], the autotuner's
-   measurement runs, the CLI, and one serve-daemon submission — is a value
-   of this record.  [run_request] is the single execution path; everything
-   else constructs a [Request.t] and calls it. *)
-
-module Request = struct
   type t = {
-    workload : Wl.Workload.t;
-    technique : technique;
-    threads : int;
-    backend : backend;
     input : Wl.Workload.input;
-    checkpoint_every : int;
+    policy : Cache.Policy.t;
+    mode : mode;
     verify : bool;
     cache : [ `Off | `Ro | `Rw ];
-    cache_dir : string option;
-    obs : Xinv_obs.Recorder.t option;
-    policy : policy;
-    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-    spec_distance : int option;
   }
 
-  let make ?(backend = `Sim None) ?(input = Wl.Workload.Ref)
-      ?(checkpoint_every = 1000) ?(verify = true) ?(cache = `Off) ?cache_dir
-      ?obs ?(policy = `Fixed) ?sig_kind ?spec_distance ~technique ~threads
-      workload =
+  let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
+      ?(technique = "sequential") ?(threads = 1)
+      ?(grain = Cache.Policy.default.grain)
+      ?(batch = Cache.Policy.default.batch)
+      ?(sig_kind = Cache.Policy.default.sig_kind)
+      ?spec_distance
+      ?(checkpoint_every = Cache.Policy.default.epoch_size) ?(mode = `Fixed)
+      ?(verify = true) ?(cache = `Off) () =
     {
-      workload;
-      technique;
-      threads;
-      backend;
       input;
-      checkpoint_every;
+      policy =
+        {
+          Cache.Policy.backend;
+          technique;
+          domains = threads;
+          grain;
+          batch;
+          sig_kind;
+          spec_distance;
+          epoch_size = checkpoint_every;
+        };
+      mode;
       verify;
       cache;
-      cache_dir;
-      obs;
-      policy;
-      sig_kind;
-      spec_distance;
     }
 
-  (* The caller's native_opts keep supplying the environmental knobs (work
-     model, pool, faults, deadlines, flight recording) when a policy
-     overrides the performance axes. *)
-  let native_opts t =
-    match t.backend with `Native o -> o | `Sim _ -> native_defaults
+  let validate ?deadline_ms t =
+    let p = t.policy in
+    let counts =
+      [ ("threads", p.domains); ("grain", p.grain); ("batch", p.batch);
+        ("epoch size", p.epoch_size) ]
+    in
+    match
+      (technique_of_string p.technique, List.find_opt (fun (_, v) -> v < 1) counts)
+    with
+    | None, _ -> Error ("unknown technique " ^ p.technique)
+    | _, Some (what, v) -> Error (Printf.sprintf "%s must be >= 1 (got %d)" what v)
+    | Some _, None -> (
+        match deadline_ms with
+        | Some ms when not (ms > 0.) ->
+            Error (Printf.sprintf "deadline must be > 0 ms (got %g)" ms)
+        | _ -> Ok ())
+end
 
-  (* Pin every axis a stored policy decides; the result is a fully-resolved
-     [`Fixed] request (this is what [run_with_policy] used to do). *)
-  let apply_policy (p : Cache.Policy.t) t =
+module Request = struct
+  type ctx = {
+    obs : Xinv_obs.Recorder.t option;
+    cache_dir : string option;
+    machine : Sim.Machine.t option;
+    native : native_opts;
+    adaptive : adaptive option;
+  }
+
+  let default_ctx =
+    { obs = None; cache_dir = None; machine = None; native = native_defaults;
+      adaptive = None }
+
+  type t = { workload : Wl.Workload.t; spec : Spec.t; ctx : ctx }
+
+  let make ?(backend = `Sim None) ?input ?checkpoint_every ?verify ?cache
+      ?cache_dir ?obs ?mode ?adaptive ?grain ?batch ~technique ~threads
+      workload =
+    let axis, machine, native =
+      match backend with
+      | `Sim m -> (`Sim, m, native_defaults)
+      | `Native o -> (`Native, None, o)
+    in
     {
-      t with
-      backend = backend_of_policy ~native:(native_opts t) p;
-      technique = technique_of_policy p;
-      threads = Stdlib.max 1 p.Cache.Policy.domains;
-      checkpoint_every = p.Cache.Policy.epoch_size;
-      sig_kind = Some p.Cache.Policy.sig_kind;
-      spec_distance = p.Cache.Policy.spec_distance;
-      policy = `Fixed;
+      workload;
+      spec =
+        Spec.make ?input ~backend:axis ~technique:(technique_name technique)
+          ~threads ?grain ?batch ?checkpoint_every ?mode ?verify ?cache ();
+      ctx = { obs; cache_dir; machine; native; adaptive };
     }
 end
 
-let exec ~actx ~source (r : Request.t) =
-  run_configured ~actx ~source ~backend:r.Request.backend ~input:r.Request.input
-    ~checkpoint_every:r.Request.checkpoint_every ~verify:r.Request.verify
-    ?obs:r.Request.obs ~sig_sel:r.Request.sig_kind
-    ~spec_override:r.Request.spec_distance ~technique:r.Request.technique
-    ~threads:r.Request.threads r.Request.workload
+(* A caller-supplied pool caps the run: shrink to the largest thread count
+   whose pool demand fits, so a resolved policy wider than the pool (a
+   tuned [`Auto] policy on a small daemon) still runs. *)
+let fit_threads pool ~technique threads =
+  let cap = Nat.Pool.workers pool in
+  let rec go th =
+    if th <= 1 || native_pool_size ~technique ~threads:th <= cap then th
+    else go (th - 1)
+  in
+  go threads
+
+let exec ~actx ~source (r : Request.t) (p : Cache.Policy.t) =
+  let ctx = r.Request.ctx in
+  let technique =
+    match technique_of_string p.Cache.Policy.technique with
+    | Some t -> t
+    | None -> invalid_arg ("unknown technique " ^ p.Cache.Policy.technique)
+  in
+  let threads, backend =
+    match p.Cache.Policy.backend with
+    | `Sim ->
+        ( p.Cache.Policy.domains,
+          `Sim (Option.value ctx.machine ~default:Sim.Machine.default) )
+    | `Native ->
+        let opts = ctx.native in
+        ( (match opts.pool with
+          | Some pool -> fit_threads pool ~technique p.Cache.Policy.domains
+          | None -> p.Cache.Policy.domains),
+          `Native opts )
+  in
+  run_configured ~actx ~source ~backend ~input:r.Request.spec.Spec.input
+    ~verify:r.Request.spec.Spec.verify ~policy:p ?obs:ctx.obs ~technique
+    ~threads r.Request.workload
 
 let run_request (r : Request.t) =
-  assert (r.Request.threads > 0);
-  let obs = r.Request.obs in
+  let spec = r.Request.spec and ctx = r.Request.ctx in
+  (match Spec.validate spec with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Crossinv.run_request: " ^ m));
+  let obs = ctx.obs in
   let wl = r.Request.workload in
-  let input = r.Request.input in
-  let actx = analysis_ctx ?obs r.Request.cache r.Request.cache_dir in
-  let lookup_tuned () =
-    match actx.a_cache with
-    | None -> None
-    | Some c ->
-        timed actx (fun () ->
-            Cache.Analysis.cached_policy c
-              (wl.Wl.Workload.program input)
-              (wl.Wl.Workload.fresh_env input))
+  let input = spec.Spec.input in
+  let actx = analysis_ctx ?obs spec.Spec.cache ctx.cache_dir in
+  (* The policy to run and where it came from. *)
+  let resolve () =
+    match spec.Spec.mode with
+    | `Fixed -> (spec.Spec.policy, "fixed")
+    | `Auto -> (
+        let tuned =
+          match actx.a_cache with
+          | None -> None
+          | Some c ->
+              timed actx (fun () ->
+                  Cache.Analysis.cached_policy c
+                    (wl.Wl.Workload.program input)
+                    (wl.Wl.Workload.fresh_env input))
+        in
+        match tuned with
+        | Some t -> (t.Cache.Policy.policy, "cached")
+        | None -> (spec.Spec.policy, "default"))
   in
-  match r.Request.policy with
-  | `Fixed -> exec ~actx ~source:"fixed" r
-  | `Reified (p, source) ->
-      bump_counter obs ("policy.source." ^ source) 1;
-      record_event obs
-        (Xinv_obs.Event.Policy_applied
-           { source; policy = Cache.Policy.to_string p });
-      exec ~actx ~source (Request.apply_policy p r)
-  | `Auto -> (
-      match lookup_tuned () with
-      | Some tuned ->
-          let p = tuned.Cache.Policy.policy in
-          bump_counter obs "policy.source.cached" 1;
-          record_event obs
-            (Xinv_obs.Event.Policy_applied
-               { source = "cached"; policy = Cache.Policy.to_string p });
-          exec ~actx ~source:"cached" (Request.apply_policy p r)
-      | None ->
-          bump_counter obs "policy.source.default" 1;
-          record_event obs
-            (Xinv_obs.Event.Policy_applied
-               {
-                 source = "default";
-                 policy = technique_name r.Request.technique;
-               });
-          exec ~actx ~source:"default" r)
-  | `Adaptive ctl ->
+  match ctx.adaptive with
+  | None ->
+      let p, source = resolve () in
+      if spec.Spec.mode = `Auto then begin
+        bump_counter obs ("policy.source." ^ source) 1;
+        let policy =
+          if source = "cached" then Cache.Policy.to_string p
+          else p.Cache.Policy.technique
+        in
+        record_event obs (Xinv_obs.Event.Policy_applied { source; policy })
+      end;
+      exec ~actx ~source r p
+  | Some ctl ->
       let o =
         match ctl.a_phase with
         | `Sequential ->
-            exec ~actx ~source:"adaptive:sequential"
-              {
-                r with
-                Request.technique = Sequential;
-                threads = 1;
-                sig_kind = None;
-                spec_distance = None;
-                policy = `Fixed;
-              }
-        | `Probing | `Candidate -> (
-            match lookup_tuned () with
-            | Some tuned ->
-                exec ~actx ~source:"adaptive:cached"
-                  (Request.apply_policy tuned.Cache.Policy.policy r)
-            | None -> exec ~actx ~source:"adaptive:default" r)
+            exec ~actx ~source:"adaptive:sequential" r
+              { spec.Spec.policy with technique = "sequential"; domains = 1 }
+        | `Probing | `Candidate ->
+            let p, source = resolve () in
+            exec ~actx ~source:("adaptive:" ^ source) r p
       in
       (match ctl.a_phase with
       | `Sequential -> ()
@@ -983,23 +1000,3 @@ let run_request (r : Request.t) =
                        Printf.sprintf "candidate at %.2fx of sequential" ratio;
                    })));
       o
-
-(* ---- deprecated wrappers ---- *)
-
-let run ?backend ?input ?checkpoint_every ?verify ?cache ?cache_dir ?obs
-    ?policy ?sig_kind ?spec_distance ~technique ~threads (wl : Wl.Workload.t) =
-  run_request
-    (Request.make ?backend ?input ?checkpoint_every ?verify ?cache ?cache_dir
-       ?obs ?policy ?sig_kind ?spec_distance ~technique ~threads wl)
-
-let run_policy ?input ?verify ?cache ?cache_dir ?obs
-    ?(native = native_defaults) ?(source = "searched") (p : Cache.Policy.t) wl
-    =
-  (* Technique and threads are placeholders: [`Reified] pins every axis the
-     policy decides before execution. *)
-  run_request
-    (Request.make
-       ~backend:(`Native native)
-       ?input ?verify ?cache ?cache_dir ?obs
-       ~policy:(`Reified (p, source))
-       ~technique:Sequential ~threads:1 wl)

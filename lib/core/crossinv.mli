@@ -6,13 +6,18 @@
     {[
       let wl = Xinv_workloads.Registry.find "CG" in
       (* simulated machine (default backend) *)
-      let o = Crossinv.run ~technique:Crossinv.Domore ~threads:8 wl in
+      let o =
+        Crossinv.run_request
+          (Crossinv.Request.make ~technique:Crossinv.Domore ~threads:8 wl)
+      in
       (* real domains, with robustness bounds *)
       let o' =
-        Crossinv.run
-          ~backend:
-            (`Native { Crossinv.native_defaults with deadline_ms = Some 60_000. })
-          ~technique:Crossinv.Domore ~threads:4 wl
+        Crossinv.run_request
+          (Crossinv.Request.make
+             ~backend:
+               (`Native
+                 { Crossinv.native_defaults with deadline_ms = Some 60_000. })
+             ~technique:Crossinv.Domore ~threads:4 wl)
       in
       Format.printf "sim %.2fx / native %.2fx, verified: %b@."
         o.Crossinv.speedup o'.Crossinv.speedup o'.Crossinv.verified
@@ -34,6 +39,8 @@ type technique =
 val technique_name : technique -> string
 
 val technique_of_string : string -> technique option
+(** Inverse of {!technique_name} (case-insensitive), which also accepts
+    the short aliases [seq], [pthread], [ie] and [inspector]. *)
 
 (** {1 The unified entry point} *)
 
@@ -44,6 +51,8 @@ type cost =
 val cost_value : cost -> float
 val cost_to_string : cost -> string
 
+(** The environment of a native run: everything about it that is not a
+    policy axis. *)
 type native_opts = {
   work : Xinv_native.Work.t;
       (** calibrated spinning per simulated cost unit; [Off] runs raw ops *)
@@ -55,16 +64,6 @@ type native_opts = {
       (** per-wait bound; defaults to [min deadline 5000] when a deadline is
           set, 5000 when only a fault is armed, unbounded otherwise *)
   degrade : bool;  (** retry failed runs under weaker techniques (default) *)
-  grain : int;
-      (** iterations dispatched/distributed as one chunk (barrier
-          block-cyclic blocks, DOMORE chunk frames, SPECCROSS speculative
-          blocks).  Default 1: per-iteration protocols, bit-identical to
-          the simulator's dispatch. *)
-  batch : int;
-      (** native write-combining factor: words per {!Xinv_native.Spsc.Batch}
-          publish in the DOMORE scheduler, owned iterations per
-          completion-cell publish in the duplicated variant.  Default 32;
-          1 publishes per word/iteration like the pre-batching protocol. *)
   flight : bool;
       (** attach a {!Xinv_obs.Flight} recorder to every attempt (default
           off).  Implied by [postmortem_dir]. *)
@@ -92,6 +91,9 @@ type native_opts = {
 val native_defaults : native_opts
 
 type backend = [ `Sim of Xinv_sim.Machine.t option | `Native of native_opts ]
+(** {!Request.make}'s backend argument: the policy's backend axis together
+    with that backend's environment (the simulated machine, default
+    {!Xinv_sim.Machine.default}; or the native options). *)
 
 type degrade_step = { d_from : technique; d_to : technique; d_reason : string }
 
@@ -119,11 +121,11 @@ type outcome = {
       (** text postmortem paths written during this run, in degradation
           order (each sits next to a [.trace.json] Perfetto dump) *)
   policy_source : string;
-      (** where the run's configuration came from: ["fixed"] (caller's
-          arguments, the default), ["cached"] / ["default"] for
-          [~policy:`Auto], ["searched"] for {!run_policy}, or
-          ["adaptive:cached"] / ["adaptive:default"] /
-          ["adaptive:sequential"] under the online controller *)
+      (** where the run's policy came from: ["fixed"] (the spec's own, the
+          default), ["cached"] / ["default"] under [`Auto], and
+          ["adaptive:"] followed by one of those, or
+          ["adaptive:sequential"], under the online controller.  The
+          autotuner relabels its trials ["searched"]. *)
 }
 
 val applicable :
@@ -136,7 +138,7 @@ val applicable :
 (** Compile-time applicability of the technique to the workload on the
     given backend (default [`Sim]).  Native inapplicability (Doacross,
     DSWP, Inspector, TLS have no native engines) is an [Error], not an
-    exception.  [cache]/[cache_dir] as in {!run}: the DOMORE applicability
+    exception.  [cache]/[cache_dir] as in {!run_request}: the DOMORE applicability
     check is itself a full [Mtcg.generate] and benefits the same way. *)
 
 val supported : backend:[ `Sim | `Native ] -> technique list
@@ -144,15 +146,15 @@ val supported : backend:[ `Sim | `Native ] -> technique list
 
 (** {1 Execution policies}
 
-    The facade can take its configuration from three places: the caller's
-    arguments ([`Fixed], the historical behaviour), a tuned policy
-    persisted in the analysis cache by the {!Xinv_tune} autotuner
-    ([`Auto]), or an online controller that probes a candidate policy
-    against the per-run sequential baseline and abandons it mid-stream
-    when it does not pay ([`Adaptive]). *)
+    A run's configuration is one {!Xinv_cache.Policy.t}.  It comes from
+    the request's spec ([`Fixed]), from a tuned policy persisted in the
+    analysis cache by the {!Xinv_tune} autotuner ([`Auto]), or, under an
+    online {!adaptive} controller, from either of those until probing
+    shows that it does not pay against the per-run sequential baseline. *)
 
 type adaptive
-(** Mutable controller state shared across a stream of {!run} calls. *)
+(** Mutable controller state shared across a stream of {!run_request}
+    calls. *)
 
 type adaptive_phase = [ `Probing | `Candidate | `Sequential ]
 
@@ -171,41 +173,80 @@ val adaptive_switches : adaptive -> int
 val adaptive_note :
   adaptive -> cand_ns:float -> seq_ns:float -> [ `Keep | `Switch ]
 (** The controller's decision function, exposed for tests: feed one
-    run's candidate and sequential timings, get the transition. {!run}
-    with [~policy:(`Adaptive ctl)] calls this internally. *)
+    run's candidate and sequential timings, get the transition.
+    {!run_request} calls this internally when the request carries a
+    controller. *)
 
-type policy =
-  [ `Fixed  (** the request's own fields, the historical behaviour *)
-  | `Auto  (** tuned policy from the analysis cache, if one is stored *)
-  | `Adaptive of adaptive  (** [`Auto] + online sequential-baseline probe *)
-  | `Reified of Xinv_cache.Policy.t * string
-    (** this exact policy record; the string labels [policy_source] and
-        the [policy.source.*] counter (["searched"] from the autotuner) *)
-  ]
+(** {1 Requests} *)
 
-(** {1 The request record}
+(** What to run, as data only: no workload descriptor, recorder or pool.
+    The serve daemon ships exactly this record over its socket. *)
+module Spec : sig
+  type mode =
+    [ `Fixed  (** run [policy] as given *)
+    | `Auto
+      (** run the tuned policy stored in the analysis cache for this
+          workload and input, or [policy] when none is stored *) ]
 
-    Every way of asking this library for one execution — the historical
-    optional-argument {!run}, the reified-policy {!run_policy}, the
-    autotuner's measurement runs, the CLI, and one serve-daemon
-    submission — is a value of {!Request.t}.  {!run_request} is the single
-    execution path; everything else constructs a request and submits it. *)
+  type t = {
+    input : Xinv_workloads.Workload.input;
+    policy : Xinv_cache.Policy.t;
+        (** backend, technique, threads ([domains]), grain, batch,
+            signature kind, speculative distance, checkpoint epoch size *)
+    mode : mode;
+    verify : bool;  (** compare final memory against sequential *)
+    cache : [ `Off | `Ro | `Rw ];  (** analysis-cache mode *)
+  }
 
+  val make :
+    ?input:Xinv_workloads.Workload.input ->
+    ?backend:Xinv_cache.Policy.backend ->
+    ?technique:string ->
+    ?threads:int ->
+    ?grain:int ->
+    ?batch:int ->
+    ?sig_kind:Xinv_cache.Policy.sig_kind ->
+    ?spec_distance:int ->
+    ?checkpoint_every:int ->
+    ?mode:mode ->
+    ?verify:bool ->
+    ?cache:[ `Off | `Ro | `Rw ] ->
+    unit ->
+    t
+  (** Defaults: [Ref] input, simulated backend, ["sequential"] on one
+      thread, {!Xinv_cache.Policy.default}'s grain, batch, signature kind,
+      speculative distance and epoch size, [`Fixed], verification on,
+      cache off. *)
+
+  val validate : ?deadline_ms:float -> t -> (unit, string) result
+  (** The request bounds: a known technique spelling, and threads, grain,
+      batch and epoch size >= 1; a [deadline_ms], when given, must be
+      > 0.  The CLI and the serve daemon check requests with this. *)
+end
+
+(** One execution: a spec, the workload it runs, and the live runtime
+    context.  {!run_request} is the single execution path; the CLI, the
+    autotuner and the serve daemon all build a value of this type. *)
 module Request : sig
+  type ctx = {
+    obs : Xinv_obs.Recorder.t option;
+        (** instrument the run (see {!run_request}) *)
+    cache_dir : string option;
+        (** analysis-cache directory (default [~/.cache/xinv]) *)
+    machine : Xinv_sim.Machine.t option;
+        (** simulated machine (default {!Xinv_sim.Machine.default}) *)
+    native : native_opts;  (** environment of native runs *)
+    adaptive : adaptive option;  (** online controller across a stream *)
+  }
+
+  val default_ctx : ctx
+  (** No recorder, default cache directory and machine,
+      {!native_defaults}, no controller. *)
+
   type t = {
     workload : Xinv_workloads.Workload.t;
-    technique : technique;
-    threads : int;
-    backend : backend;
-    input : Xinv_workloads.Workload.input;
-    checkpoint_every : int;
-    verify : bool;
-    cache : [ `Off | `Ro | `Rw ];
-    cache_dir : string option;
-    obs : Xinv_obs.Recorder.t option;
-    policy : policy;
-    sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-    spec_distance : int option;
+    spec : Spec.t;
+    ctx : ctx;
   }
 
   val make :
@@ -216,65 +257,42 @@ module Request : sig
     ?cache:[ `Off | `Ro | `Rw ] ->
     ?cache_dir:string ->
     ?obs:Xinv_obs.Recorder.t ->
-    ?policy:policy ->
-    ?sig_kind:[ `Range | `Segmented | `Bloom | `Exact ] ->
-    ?spec_distance:int ->
+    ?mode:Spec.mode ->
+    ?adaptive:adaptive ->
+    ?grain:int ->
+    ?batch:int ->
     technique:technique ->
     threads:int ->
     Xinv_workloads.Workload.t ->
     t
-  (** Smart constructor with the facade's defaults: simulated backend
-      (default machine), [Ref] input, checkpoint every 1000, verification
-      on, cache off, [`Fixed] policy. *)
-
-  val native_opts : t -> native_opts
-  (** The request's native options, or {!native_defaults} on the sim
-      backend — the environmental knobs a policy never overrides. *)
-
-  val apply_policy : Xinv_cache.Policy.t -> t -> t
-  (** Pin every axis the policy decides — backend, technique, threads,
-      grain, batch, signature kind, speculative distance, epoch size —
-      onto the request, preserving its environmental knobs, and mark it
-      [`Fixed] (fully resolved). *)
+  (** Smart constructor over {!Spec.make} and {!default_ctx}: simulated
+      backend (default machine) unless [backend] says otherwise. *)
 end
 
 val run_request : Request.t -> outcome
-(** The single execution path.  Resolves the request's [policy] field
-    (bumping [policy.source.*] counters and emitting [Policy_applied] /
-    [Tune_switch] events when [obs] is attached), then executes.  See
-    {!run} for the execution semantics — {!run} is now a thin wrapper
-    that builds a request and calls this. *)
-
-val run :
-  ?backend:backend ->
-  ?input:Xinv_workloads.Workload.input ->
-  ?checkpoint_every:int ->
-  ?verify:bool ->
-  ?cache:[ `Off | `Ro | `Rw ] ->
-  ?cache_dir:string ->
-  ?obs:Xinv_obs.Recorder.t ->
-  ?policy:policy ->
-  ?sig_kind:[ `Range | `Segmented | `Bloom | `Exact ] ->
-  ?spec_distance:int ->
-  technique:technique ->
-  threads:int ->
-  Xinv_workloads.Workload.t ->
-  outcome
-[@@deprecated "construct a Crossinv.Request.t and call Crossinv.run_request"]
-(** Runs the workload under the technique with [threads] execution
-    contexts total (DOMORE: 1 scheduler + workers; SPECCROSS: workers +
-    1 checker) on the chosen backend (default: simulated, default
-    machine).  SPECCROSS profiles the train input first and falls back to
+(** Runs the workload with [threads] execution contexts total (DOMORE: 1
+    scheduler + workers; SPECCROSS: workers + 1 checker) on the policy's
+    backend.  SPECCROSS profiles the train input first and falls back to
     barriers when unprofitable (§4.4), on both backends.
 
-    With [cache] (default [`Off]), the run consults the incremental
-    analysis cache in [cache_dir] (default [~/.cache/xinv]): on a
-    fingerprint hit the DOMORE plan and the SPECCROSS profile are
-    reconstructed from disk instead of re-derived — identical results,
-    near-zero [analysis_ns].  [`Ro] never writes; [`Rw] publishes fresh
-    results atomically.
+    Policy resolution: [`Fixed] runs the spec's policy.  [`Auto] looks
+    the workload's fingerprint up in the analysis cache; a stored tuned
+    policy replaces every axis (the context keeps supplying work model,
+    pool, faults, deadlines and flight recording), and on a miss the
+    spec's policy runs with [policy_source = "default"].  [`Auto] bumps
+    the [policy.source.cached|default] counter and emits a
+    [Policy_applied] event when [obs] is attached.  With a controller in
+    the context, the resolved policy is the candidate the controller
+    probes (see {!adaptive}); a switch to sequential emits
+    [Tune_switch].
 
-    With [?obs], the run is instrumented: the simulated backend streams
+    With [cache] [`Ro] or [`Rw], the run consults the incremental
+    analysis cache: on a fingerprint hit the DOMORE plan and the
+    SPECCROSS profile are reconstructed from disk instead of re-derived —
+    identical results, near-zero [analysis_ns].  [`Ro] never writes;
+    [`Rw] publishes fresh results atomically.
+
+    With [obs], the run is instrumented: the simulated backend streams
     typed events and metrics into the recorder; the native backend bumps
     aggregate counters ([domore.*], [speccross.*], [barrier.crossings])
     plus the robustness counters [fault.injected], [watchdog.stall] and
@@ -290,65 +308,19 @@ val run :
     barrier → sequential) within the same overall deadline.  The outcome's
     [technique] and [degraded] fields report what actually ran.  With
     [degrade] off, the typed error ({!Xinv_native.Fault.Injected},
-    {!Xinv_native.Watchdog.Stalled}, …) is raised instead.
+    {!Xinv_native.Watchdog.Stalled}, …) is raised instead.  A pool in the
+    context caps the run: the resolved thread count shrinks to the largest
+    one whose pool demand fits.
 
-    [?policy] (default [`Fixed]) selects where the configuration comes
-    from.  [`Auto] looks the workload's fingerprint up in the analysis
-    cache: a stored tuned policy overrides backend, technique, threads,
-    grain, batch, signature kind, speculative distance and epoch size
-    (the caller's [native_opts] keep supplying work model, pool, faults,
-    deadlines and flight recording); on a miss the caller's configuration
-    runs unchanged with [policy_source = "default"].  [`Adaptive ctl]
-    runs the [`Auto] resolution while the controller probes, and switches
-    the stream to sequential execution when the candidate does not pay
-    (see {!adaptive}).  Policy resolution bumps the
-    [policy.source.cached|searched|default] counters and emits
-    [Policy_applied] / [Tune_switch] events when [?obs] is attached.
+    The policy's signature kind selects the SPECCROSS signature
+    ([`Segmented] over live memory bounds by default); a speculative
+    distance below the worker count is clamped up to it, and [None] uses
+    the profiled distance.
 
-    [?sig_kind] and [?spec_distance] expose the two previously hard-wired
-    SPECCROSS knobs (default: [`Segmented] over live memory bounds; the
-    profiled distance).  A [spec_distance] below the worker count is
-    clamped up to it.
-
+    @raise Invalid_argument when the spec fails {!Spec.validate}.
     @raise Failure when the technique is inapplicable to the backend
-    (see {!applicable}).
-
-    @deprecated construct a {!Request.t} and call {!run_request}. *)
-
-val run_policy :
-  ?input:Xinv_workloads.Workload.input ->
-  ?verify:bool ->
-  ?cache:[ `Off | `Ro | `Rw ] ->
-  ?cache_dir:string ->
-  ?obs:Xinv_obs.Recorder.t ->
-  ?native:native_opts ->
-  ?source:string ->
-  Xinv_cache.Policy.t ->
-  Xinv_workloads.Workload.t ->
-  outcome
-[@@deprecated
-  "construct a Crossinv.Request.t with ~policy:(`Reified (p, source)) and \
-   call Crossinv.run_request"]
-(** Reify a {!Xinv_cache.Policy.t} into one run: backend, technique,
-    threads, grain, batch, signature kind, speculative distance and epoch
-    size all come from the policy; [?native] (default {!native_defaults})
-    supplies the environmental knobs.  This is the measurement primitive
-    the {!Xinv_tune} search and the tuned benchmark drive.  [?source]
-    (default ["searched"]) labels the outcome's [policy_source] and the
-    [policy.source.*] counter.
-
-    @deprecated
-      construct a {!Request.t} with [~policy:(`Reified (p, source))] and
-      call {!run_request}. *)
+    (see {!applicable}). *)
 
 val spec_mode_of_plan :
   Xinv_workloads.Workload.t -> string -> Xinv_speccross.Runtime.mode
 (** Map the workload's Table 5.1 plan onto SPECCROSS execution modes. *)
-
-val native_pool_size : technique:technique -> threads:int -> int
-(** Pool domains one native run of [technique] needs beyond the caller. *)
-
-(** The pre-unification wrappers [execute] / [execute_native] (deprecated
-    since the [`Sim]/[`Native] facade merge) are gone; {!run} and
-    {!run_policy} are this release's deprecated wrappers over
-    {!run_request}. *)

@@ -150,12 +150,7 @@ let get_priority r =
 
 let put_tune w t =
   Wire.put_string w t.t_workload;
-  Wire.put_u8 w
-    (match t.t_input with
-    | Xinv_workloads.Workload.Train -> 0
-    | Train_spec -> 1
-    | Ref -> 2
-    | Ref_spec -> 3);
+  Wire.put_string w (Xinv_workloads.Workload.input_name t.t_input);
   Wire.put_u32 w t.t_budget;
   Wire.put_u32 w t.t_seed;
   Wire.put_opt w Wire.put_u32 t.t_max_domains;
@@ -166,12 +161,7 @@ let put_tune w t =
 let get_tune r =
   let t_workload = Wire.get_string r in
   let t_input =
-    match Wire.get_u8 r with
-    | 0 -> Xinv_workloads.Workload.Train
-    | 1 -> Xinv_workloads.Workload.Train_spec
-    | 2 -> Xinv_workloads.Workload.Ref
-    | 3 -> Xinv_workloads.Workload.Ref_spec
-    | n -> bad "input %d" n
+    Wire.get_name r "input" Xinv_workloads.Workload.input_of_string
   in
   let t_budget = Wire.get_u32 r in
   let t_seed = Wire.get_u32 r in

@@ -1,4 +1,4 @@
-(** [xinv-serve/1] message vocabulary: what a client can ask
+(** [xinv-serve/2] message vocabulary: what a client can ask
     ({!client_msg}) and what the daemon answers ({!server_msg}), with
     frame-level codecs over {!Wire}.
 

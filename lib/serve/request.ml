@@ -1,173 +1,95 @@
 module Cx = Xinv_core.Crossinv
+module Policy = Xinv_cache.Policy
 module Wl = Xinv_workloads
 
-type workload = [ `Name of string | `Inline of string ]
-
 type t = {
-  workload : workload;
-  input : Wl.Workload.input;
-  backend : [ `Sim | `Native ];
-  technique : string;
-  threads : int;
-  policy : [ `Fixed | `Auto ];
-  grain : int;
-  batch : int;
-  sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-  spec_distance : int option;
-  checkpoint_every : int;
-  verify : bool;
-  cache : [ `Off | `Ro | `Rw ];
+  workload : string;
+  spec : Cx.Spec.t;
   fault : string option;
   deadline_ms : float option;
   priority : [ `High | `Normal ];
   tenant : string;
 }
 
-let make ?(input = Wl.Workload.Ref) ?(backend = `Sim)
-    ?(technique = "sequential") ?(threads = 1) ?(policy = `Fixed) ?(grain = 1)
-    ?(batch = 32) ?sig_kind ?spec_distance ?(checkpoint_every = 1000)
-    ?(verify = true) ?(cache = `Off) ?fault ?deadline_ms ?(priority = `Normal)
-    ?(tenant = "default") workload =
+let make ?input ?backend ?technique ?threads ?mode ?cache ?fault ?deadline_ms
+    ?(priority = `Normal) ?(tenant = "default") (`Name workload) =
   {
     workload;
-    input;
-    backend;
-    technique;
-    threads;
-    policy;
-    grain;
-    batch;
-    sig_kind;
-    spec_distance;
-    checkpoint_every;
-    verify;
-    cache;
+    spec = Cx.Spec.make ?input ?backend ?technique ?threads ?mode ?cache ();
     fault;
     deadline_ms;
     priority;
     tenant;
   }
 
-let of_workload ?priority ?tenant t (wl : Wl.Workload.t) =
-  {
-    t with
-    workload = `Inline (Marshal.to_string wl [ Marshal.Closures ]);
-    priority = Option.value priority ~default:t.priority;
-    tenant = Option.value tenant ~default:t.tenant;
-  }
+(* ---- codec ----
 
-(* ---- codec ---- *)
+   Enumerations with a stable spelling (input, backend, signature kind)
+   travel as that spelling. *)
 
-let input_tag = function
-  | Wl.Workload.Train -> 0
-  | Wl.Workload.Train_spec -> 1
-  | Wl.Workload.Ref -> 2
-  | Wl.Workload.Ref_spec -> 3
+let bad fmt =
+  Printf.ksprintf (fun s -> raise (Wire.Error (Wire.Bad_payload s))) fmt
 
-let input_of_tag = function
-  | 0 -> Wl.Workload.Train
-  | 1 -> Wl.Workload.Train_spec
-  | 2 -> Wl.Workload.Ref
-  | 3 -> Wl.Workload.Ref_spec
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "input %d" n)))
+let put_policy w (p : Policy.t) =
+  Wire.put_string w (Policy.backend_name p.backend);
+  Wire.put_string w p.technique;
+  Wire.put_u32 w p.domains;
+  Wire.put_u32 w p.grain;
+  Wire.put_u32 w p.batch;
+  Wire.put_string w (Policy.sig_kind_name p.sig_kind);
+  Wire.put_opt w Wire.put_u32 p.spec_distance;
+  Wire.put_u32 w p.epoch_size
 
-let sig_tag = function `Range -> 0 | `Segmented -> 1 | `Bloom -> 2 | `Exact -> 3
-
-let sig_of_tag = function
-  | 0 -> `Range
-  | 1 -> `Segmented
-  | 2 -> `Bloom
-  | 3 -> `Exact
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "sig_kind %d" n)))
-
-let cache_tag = function `Off -> 0 | `Ro -> 1 | `Rw -> 2
-
-let cache_of_tag = function
-  | 0 -> `Off
-  | 1 -> `Ro
-  | 2 -> `Rw
-  | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "cache %d" n)))
+let get_policy r =
+  let backend = Wire.get_name r "backend" Policy.backend_of_name in
+  let technique = Wire.get_string r in
+  let domains = Wire.get_u32 r in
+  let grain = Wire.get_u32 r in
+  let batch = Wire.get_u32 r in
+  let sig_kind = Wire.get_name r "sig_kind" Policy.sig_kind_of_name in
+  let spec_distance = Wire.get_opt r Wire.get_u32 in
+  let epoch_size = Wire.get_u32 r in
+  { Policy.backend; technique; domains; grain; batch; sig_kind; spec_distance;
+    epoch_size }
 
 let put w t =
-  (match t.workload with
-  | `Name n ->
-      Wire.put_u8 w 0;
-      Wire.put_string w n
-  | `Inline m ->
-      Wire.put_u8 w 1;
-      Wire.put_string w m);
-  Wire.put_u8 w (input_tag t.input);
-  Wire.put_u8 w (match t.backend with `Sim -> 0 | `Native -> 1);
-  Wire.put_string w t.technique;
-  Wire.put_u32 w t.threads;
-  Wire.put_u8 w (match t.policy with `Fixed -> 0 | `Auto -> 1);
-  Wire.put_u32 w t.grain;
-  Wire.put_u32 w t.batch;
-  Wire.put_opt w (fun w k -> Wire.put_u8 w (sig_tag k)) t.sig_kind;
-  Wire.put_opt w Wire.put_u32 t.spec_distance;
-  Wire.put_u32 w t.checkpoint_every;
-  Wire.put_bool w t.verify;
-  Wire.put_u8 w (cache_tag t.cache);
+  Wire.put_u8 w 0 (* workload by registry name, the only tag *);
+  Wire.put_string w t.workload;
+  Wire.put_string w (Wl.Workload.input_name t.spec.input);
+  put_policy w t.spec.policy;
+  Wire.put_u8 w (match t.spec.mode with `Fixed -> 0 | `Auto -> 1);
+  Wire.put_bool w t.spec.verify;
+  Wire.put_u8 w (match t.spec.cache with `Off -> 0 | `Ro -> 1 | `Rw -> 2);
   Wire.put_opt w Wire.put_string t.fault;
   Wire.put_opt w Wire.put_f64 t.deadline_ms;
   Wire.put_u8 w (match t.priority with `High -> 0 | `Normal -> 1);
   Wire.put_string w t.tenant
 
 let get r =
-  let workload =
-    match Wire.get_u8 r with
-    | 0 -> `Name (Wire.get_string r)
-    | 1 -> `Inline (Wire.get_string r)
-    | n ->
-        raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "workload %d" n)))
+  (match Wire.get_u8 r with 0 -> () | n -> bad "workload tag %d" n);
+  let workload = Wire.get_string r in
+  let input = Wire.get_name r "input" Wl.Workload.input_of_string in
+  let policy = get_policy r in
+  let mode =
+    match Wire.get_u8 r with 0 -> `Fixed | 1 -> `Auto | n -> bad "mode %d" n
   in
-  let input = input_of_tag (Wire.get_u8 r) in
-  let backend =
-    match Wire.get_u8 r with
-    | 0 -> `Sim
-    | 1 -> `Native
-    | n ->
-        raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "backend %d" n)))
-  in
-  let technique = Wire.get_string r in
-  let threads = Wire.get_u32 r in
-  let policy =
-    match Wire.get_u8 r with
-    | 0 -> `Fixed
-    | 1 -> `Auto
-    | n -> raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "policy %d" n)))
-  in
-  let grain = Wire.get_u32 r in
-  let batch = Wire.get_u32 r in
-  let sig_kind = Wire.get_opt r (fun r -> sig_of_tag (Wire.get_u8 r)) in
-  let spec_distance = Wire.get_opt r Wire.get_u32 in
-  let checkpoint_every = Wire.get_u32 r in
   let verify = Wire.get_bool r in
-  let cache = cache_of_tag (Wire.get_u8 r) in
+  let cache =
+    match Wire.get_u8 r with
+    | 0 -> `Off
+    | 1 -> `Ro
+    | 2 -> `Rw
+    | n -> bad "cache %d" n
+  in
   let fault = Wire.get_opt r Wire.get_string in
   let deadline_ms = Wire.get_opt r Wire.get_f64 in
   let priority =
-    match Wire.get_u8 r with
-    | 0 -> `High
-    | 1 -> `Normal
-    | n ->
-        raise (Wire.Error (Wire.Bad_payload (Printf.sprintf "priority %d" n)))
+    match Wire.get_u8 r with 0 -> `High | 1 -> `Normal | n -> bad "priority %d" n
   in
   let tenant = Wire.get_string r in
   {
     workload;
-    input;
-    backend;
-    technique;
-    threads;
-    policy;
-    grain;
-    batch;
-    sig_kind;
-    spec_distance;
-    checkpoint_every;
-    verify;
-    cache;
+    spec = { Cx.Spec.input; policy; mode; verify; cache };
     fault;
     deadline_ms;
     priority;
@@ -183,67 +105,33 @@ let min_cache a b = if cache_rank a <= cache_rank b then a else b
 type resolve_error =
   [ `Unknown_workload of string | `Bad_request of string ]
 
-let to_crossinv ?obs ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
+let to_crossinv ?pool ?cache_dir ?(cache_limit = `Rw) ?deadline_ms
     ?on_watchdog t =
-  if t.threads < 1 then
-    Error (`Bad_request (Printf.sprintf "bad thread count %d" t.threads))
-  else
-    let wl =
-      match t.workload with
-      | `Name n -> (
-          try Ok (Wl.Registry.find n)
-          with Invalid_argument _ -> Error (`Unknown_workload n))
-      | `Inline m -> (
-          try Ok (Marshal.from_string m 0 : Wl.Workload.t)
-          with _ -> Error (`Bad_request "inline workload does not unmarshal"))
-    in
-    let fault =
-      match t.fault with
-      | None -> Ok None
-      | Some s -> (
-          match Xinv_native.Fault.spec_of_string s with
-          | Ok sp -> Ok (Some sp)
-          | Error m -> Error (`Bad_request ("bad fault spec: " ^ m)))
-    in
-    match (wl, fault) with
-    | (Error _ as e), _ -> e
-    | _, (Error _ as e) -> e
-    | Ok wl, Ok fault -> (
-        match Cx.technique_of_string t.technique with
-        | None -> Error (`Bad_request ("unknown technique " ^ t.technique))
-        | Some technique ->
-            let backend =
-              match t.backend with
-              | `Sim -> `Sim None
-              | `Native ->
-                  `Native
-                    {
-                      Cx.native_defaults with
-                      pool;
-                      grain = t.grain;
-                      batch = t.batch;
-                      fault;
-                      deadline_ms;
-                      on_watchdog;
-                    }
-            in
-            Ok
-              (Cx.Request.make ~backend ~input:t.input
-                 ~checkpoint_every:t.checkpoint_every ~verify:t.verify
-                 ~cache:(min_cache t.cache cache_limit)
-                 ?cache_dir ?obs
-                 ~policy:(t.policy :> Cx.policy)
-                 ?sig_kind:t.sig_kind ?spec_distance:t.spec_distance
-                 ~technique ~threads:t.threads wl))
-
-let describe t =
-  let name =
-    match t.workload with `Name n -> n | `Inline _ -> "<inline>"
+  let ( let* ) = Result.bind in
+  let* () =
+    Result.map_error
+      (fun m -> `Bad_request m)
+      (Cx.Spec.validate ?deadline_ms:t.deadline_ms t.spec)
   in
-  Printf.sprintf "%s/%s %s x%d %s%s tenant=%s"
-    name
-    (Wl.Workload.input_name t.input)
-    t.technique t.threads
-    (match t.backend with `Sim -> "sim" | `Native -> "native")
-    (match t.priority with `High -> " high" | `Normal -> "")
-    t.tenant
+  let* workload =
+    try Ok (Wl.Registry.find t.workload)
+    with Invalid_argument _ -> Error (`Unknown_workload t.workload)
+  in
+  let* fault =
+    match t.fault with
+    | None -> Ok None
+    | Some s -> (
+        match Xinv_native.Fault.spec_of_string s with
+        | Ok sp -> Ok (Some sp)
+        | Error m -> Error (`Bad_request ("bad fault spec: " ^ m)))
+  in
+  let spec = { t.spec with cache = min_cache t.spec.cache cache_limit } in
+  let native =
+    { Cx.native_defaults with pool; fault; deadline_ms; on_watchdog }
+  in
+  Ok
+    {
+      Cx.Request.workload;
+      spec;
+      ctx = { Cx.Request.default_ctx with cache_dir; native };
+    }

@@ -1,42 +1,15 @@
-(** A serializable run request — the unit of work submitted to the serve
-    daemon, and the wire twin of {!Xinv_core.Crossinv.Request.t}.
-
-    Where the core record holds live values (a workload descriptor full of
-    closures, a recorder, a domain pool), this one holds only data that
-    survives a socket: the workload by registry name (or as a marshalled
-    descriptor for same-binary callers), the technique by
-    {!Xinv_core.Crossinv.technique_name} spelling, and scheduling fields
-    the in-process API has no use for (deadline, priority, tenant).
-    {!to_crossinv} resolves it against the live registry into a core
-    request; the daemon injects its own shared pool, cache directory and
-    cancellation hook at that point. *)
-
-type workload =
-  [ `Name of string  (** registry lookup, case-insensitive *)
-  | `Inline of string
-    (** a marshalled {!Xinv_workloads.Workload.t} (with closures) — a
-        same-process construct for callers embedding {!Server} as a
-        library.  Unmarshalling bytes of unknown provenance is
-        memory-unsafe, so the daemon's socket front end rejects inline
-        workloads with [Bad_request]; only registry names cross the
-        wire. *) ]
+(** A run request as the serve daemon receives it: a
+    {!Xinv_core.Crossinv.Spec.t} plus the registry name of the workload
+    and the fields only a scheduler needs (fault, deadline, priority,
+    tenant).  {!to_crossinv} resolves it against the live registry into a
+    core request; the daemon injects its own shared pool, cache directory
+    and cancellation hook at that point. *)
 
 type t = {
-  workload : workload;
-  input : Xinv_workloads.Workload.input;
-  backend : [ `Sim | `Native ];
-  technique : string;  (** {!Xinv_core.Crossinv.technique_name} spelling *)
-  threads : int;
-  policy : [ `Fixed | `Auto ];
-  grain : int;
-  batch : int;
-  sig_kind : [ `Range | `Segmented | `Bloom | `Exact ] option;
-  spec_distance : int option;
-  checkpoint_every : int;
-  verify : bool;
-  cache : [ `Off | `Ro | `Rw ];
-      (** intersected with the daemon's cache mode: a request can opt
-          down (e.g. [`Off]) but never escalate past the server config *)
+  workload : string;  (** registry name, case-insensitive *)
+  spec : Xinv_core.Crossinv.Spec.t;
+      (** its [cache] mode is intersected with the daemon's: a request can
+          opt down (e.g. [`Off]) but never escalate past the server config *)
   fault : string option;
       (** native fault injection in {!Xinv_native.Fault.spec_to_string}
           spelling — how tests and CI provoke stalls and failures through
@@ -52,44 +25,29 @@ val make :
   ?backend:[ `Sim | `Native ] ->
   ?technique:string ->
   ?threads:int ->
-  ?policy:[ `Fixed | `Auto ] ->
-  ?grain:int ->
-  ?batch:int ->
-  ?sig_kind:[ `Range | `Segmented | `Bloom | `Exact ] ->
-  ?spec_distance:int ->
-  ?checkpoint_every:int ->
-  ?verify:bool ->
+  ?mode:Xinv_core.Crossinv.Spec.mode ->
   ?cache:[ `Off | `Ro | `Rw ] ->
   ?fault:string ->
   ?deadline_ms:float ->
   ?priority:[ `High | `Normal ] ->
   ?tenant:string ->
-  workload ->
+  [ `Name of string ] ->
   t
-(** Defaults mirror {!Xinv_core.Crossinv.Request.make} where the two
-    overlap (sim backend, [Ref] input, checkpoint every 1000, verify on,
-    cache off, fixed policy) plus serve-side defaults: technique
-    ["sequential"], 1 thread, native grain 1 / batch 32, no deadline,
-    [`Normal] priority, tenant ["default"]. *)
-
-val of_workload : ?priority:[ `High | `Normal ] -> ?tenant:string ->
-  t -> Xinv_workloads.Workload.t -> t
-(** Re-point an existing request at an inline workload descriptor, for
-    in-process {!Server.submit} only — the socket boundary rejects the
-    resulting request (see {!workload}). *)
+(** {!Xinv_core.Crossinv.Spec.make}'s defaults for the spec, plus no
+    fault, no deadline, [`Normal] priority and tenant ["default"]. *)
 
 val put : Wire.writer -> t -> unit
 val get : Wire.reader -> t
-(** Payload codec (raises {!Wire.Error} on malformed input). *)
+(** Payload codec (raises {!Wire.Error} on malformed input, including a
+    workload tag other than 0, the registry name). *)
 
 type resolve_error =
   [ `Unknown_workload of string
   | `Bad_request of string
-    (** unparsable technique, non-positive thread count, or an inline
-        descriptor that does not unmarshal *) ]
+    (** the spec fails {!Xinv_core.Crossinv.Spec.validate}, or the fault
+        spec does not parse *) ]
 
 val to_crossinv :
-  ?obs:Xinv_obs.Recorder.t ->
   ?pool:Xinv_native.Pool.t ->
   ?cache_dir:string ->
   ?cache_limit:[ `Off | `Ro | `Rw ] ->
@@ -100,8 +58,5 @@ val to_crossinv :
 (** Resolve against the live registry.  [deadline_ms] is the
     {e remaining} budget the scheduler computed (the request's own
     [deadline_ms] minus queue wait); [cache_limit] caps the request's
-    cache mode ([`Rw] > [`Ro] > [`Off]); the native pool, watchdog hook
-    and recorder are the daemon's. *)
-
-val describe : t -> string
-(** One-line human rendering for logs. *)
+    cache mode ([`Rw] > [`Ro] > [`Off]); the native pool and watchdog
+    hook are the daemon's. *)

@@ -225,33 +225,8 @@ let cancel t job =
 
 let disconnect_exn = Failure "client disconnected"
 
-(* A tuned [`Auto] policy or an oversized request may ask for more
-   contexts than the shared pool holds; shrink to the largest thread
-   count whose pool demand fits, instead of bouncing the run. *)
-let fit_threads ~pool ~technique threads =
-  let cap = Nat.Pool.workers pool in
-  let rec go th =
-    if th <= 1 then 1
-    else if Cx.native_pool_size ~technique ~threads:th <= cap then th
-    else go (th - 1)
-  in
-  go threads
-
 let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
   if not (Nat.Pool.live t.pool) then t.pool <- new_pool t;
-  let req =
-    match req.Request.backend with
-    | `Sim -> req
-    | `Native -> (
-        match Cx.technique_of_string req.Request.technique with
-        | None -> req (* surfaces as Bad_request below *)
-        | Some technique ->
-            {
-              req with
-              Request.threads =
-                fit_threads ~pool:t.pool ~technique req.Request.threads;
-            })
-  in
   let on_watchdog wd =
     Mutex.lock job.jm;
     job.wd <- Some wd;
@@ -281,7 +256,7 @@ let exec_run t job (req : Request.t) ~queue_wait_ns ~remaining_ms =
              completed sequentially after the cancel point — the client is
              gone either way, and the cancellation wins.  (Sim runs have no
              cancel point and deliver their outcome; see the mli.) *)
-          if was_cancelled () && req.Request.backend = `Native then
+          if was_cancelled () && Option.is_some o.Cx.nrun then
             finish t job (Protocol.Rejected Protocol.Cancelled)
           else
             finish t job
@@ -492,19 +467,6 @@ let handle_message s msg =
       Protocol.send_server s.fd
         (Protocol.Shutdown_ack { served = served s.srv });
       false
-  | Protocol.Run { Request.workload = `Inline _; _ } ->
-      (* an [`Inline] workload is a Marshal image, and unmarshalling
-         bytes that arrived from an arbitrary peer is memory-unsafe (a
-         crafted or cross-binary payload can crash the daemon outside any
-         exception handler).  The socket boundary therefore only admits
-         registry names; [Request.of_workload] stays a same-process
-         construct. *)
-      Protocol.send_server s.fd
-        (Protocol.Rejected
-           (Protocol.Bad_request
-              "inline workloads are not accepted over the socket; submit a \
-               registry workload name"));
-      true
   | Protocol.Run req -> reply_watching s (submit s.srv req)
   | Protocol.Tune tr -> reply_watching s (submit_tune s.srv tr)
 

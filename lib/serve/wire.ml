@@ -1,6 +1,6 @@
-let schema = "xinv-serve/1"
+let schema = "xinv-serve/2"
 let magic = 0x58535256 (* "XSRV" *)
-let version = 1
+let version = 2
 let max_payload = 64 * 1024 * 1024
 let header_bytes = 4 + 1 + 1 + 4 + 16
 
@@ -122,6 +122,12 @@ let get_list r f =
      the payload itself. *)
   if n < 0 || n > String.length r.buf - r.pos then fail Truncated;
   List.init n (fun _ -> f r)
+
+let get_name r what of_name =
+  let s = get_string r in
+  match of_name s with
+  | Some v -> v
+  | None -> raise (Error (Bad_payload (Printf.sprintf "%s %S" what s)))
 
 let reader_done r = r.pos = String.length r.buf
 

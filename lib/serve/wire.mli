@@ -1,4 +1,4 @@
-(** The [xinv-serve/1] wire format: length-prefixed, checksummed,
+(** The [xinv-serve/2] wire format: length-prefixed, checksummed,
     versioned frames over a byte stream (Unix-domain socket in practice,
     any string in tests).
 
@@ -7,7 +7,7 @@
     {v
     offset size  field
     0      4     magic "XSRV" (0x58535256)
-    4      1     protocol version (1)
+    4      1     protocol version (2)
     5      1     message tag (see Protocol)
     6      4     payload length in bytes
     10     16    MD5 of the payload (raw digest bytes)
@@ -17,13 +17,13 @@
     Payloads are built from the primitive codec below: fixed-width
     integers, IEEE-754 doubles via their bit patterns, length-prefixed
     strings, and option/list combinators.  Everything is explicit — no
-    [Marshal] on the framing path — so a foreign client can speak the
-    protocol, and corrupt input surfaces as a typed {!error}, never as a
+    OCaml-specific serialization on the framing path — so a foreign
+    client can speak the protocol, and corrupt input surfaces as a typed {!error}, never as a
     crash or an over-allocation ({!max_payload} bounds the length field
     before any buffer is sized from it). *)
 
 val schema : string
-(** ["xinv-serve/1"]. *)
+(** ["xinv-serve/2"]. *)
 
 val version : int
 
@@ -79,6 +79,11 @@ val get_bool : reader -> bool
 val get_string : reader -> string
 val get_opt : reader -> (reader -> 'a) -> 'a option
 val get_list : reader -> (reader -> 'a) -> 'a list
+
+val get_name : reader -> string -> (string -> 'a option) -> 'a
+(** [get_name r what of_name] reads a string and parses it with [of_name]
+    (enumerations travel as their stable spelling); [Bad_payload] naming
+    [what] when it does not parse. *)
 
 val reader_done : reader -> bool
 (** True when every payload byte has been consumed. *)

@@ -27,6 +27,21 @@ let record obs ev =
 
 let default_trial_deadline_ms = 2000.
 
+(* One fixed run of [p], labelled with where the policy came from: the
+   outcome's [policy_source], the [policy.source.*] counter and a
+   [Policy_applied] event. *)
+let run_policy ?obs ?cache ?cache_dir ~input ~native ~source p wl =
+  record obs (Obs.Event.Policy_applied { source; policy = Policy.key p });
+  Option.iter
+    (fun r ->
+      Obs.Metrics.incr
+        (Obs.Metrics.counter (Obs.Recorder.metrics r) ("policy.source." ^ source)))
+    obs;
+  let spec = { (Core.Crossinv.Spec.make ~input ?cache ()) with policy = p } in
+  let ctx = { Core.Crossinv.Request.default_ctx with obs; cache_dir; native } in
+  let o = Core.Crossinv.run_request { workload = wl; spec; ctx } in
+  { o with Core.Crossinv.policy_source = source }
+
 let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
     ?(budget = 32) ?(strategy = Search.Hill) ?(seed = 42) ?max_domains
     ?(trial_deadline_ms = default_trial_deadline_ms) ?(work = Nat.Work.Off)
@@ -81,12 +96,8 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
           }
         in
         match
-          Core.Crossinv.run_request
-            (Core.Crossinv.Request.make
-               ~backend:(`Native native)
-               ~input ~cache ?cache_dir ?obs
-               ~policy:(`Reified (p, "searched"))
-               ~technique:Core.Crossinv.Sequential ~threads:1 wl)
+          run_policy ?obs ~cache ?cache_dir ~input ~native ~source:"searched" p
+            wl
         with
         | o ->
             {
@@ -146,12 +157,8 @@ let tune ?obs ?(cache = `Off) ?cache_dir ?(input = Wl.Workload.Ref)
 
 let apply ?obs ?(input = Wl.Workload.Ref)
     ?(native = Core.Crossinv.native_defaults) r wl =
-  Core.Crossinv.run_request
-    (Core.Crossinv.Request.make
-       ~backend:(`Native native)
-       ~input ?obs
-       ~policy:(`Reified (r.tuned.Policy.policy, source_name r.source))
-       ~technique:Core.Crossinv.Sequential ~threads:1 wl)
+  run_policy ?obs ~input ~native ~source:(source_name r.source)
+    r.tuned.Policy.policy wl
 
 let json_ns v = if Float.is_finite v then Printf.sprintf "%.0f" v else "-1"
 

@@ -347,7 +347,6 @@ let test_grain_memory_identical () =
   (* Chunked dispatch is a scheduling change, not a semantics change: every
      engine at a grain that divides nothing evenly (7) and a small batch (5)
      must still produce sequential memory on every applicable workload. *)
-  let opts = { C.native_defaults with C.grain = 7; batch = 5 } in
   List.iter
     (fun (tech, tname) ->
       List.iter
@@ -356,8 +355,8 @@ let test_grain_memory_identical () =
           | Error _ -> ()
           | Ok () ->
               let n =
-                C.run_request @@ C.Request.make ~backend:(`Native opts) ~input:Wl.Workload.Train
-                  ~technique:tech ~threads wl
+                C.run_request @@ C.Request.make ~backend:(`Native C.native_defaults)
+                  ~grain:7 ~batch:5 ~input:Wl.Workload.Train ~technique:tech ~threads wl
               in
               check_verified
                 (wl.Wl.Workload.name ^ "/" ^ tname ^ "/grain7.batch5")

@@ -1,5 +1,5 @@
 (* Robustness layer: fault injection, watchdogs, cohort cancellation and
-   graceful degradation behind the unified Crossinv.run entry point.
+   graceful degradation behind the unified Crossinv.run_request entry point.
 
    The fault matrix runs every native engine under every fault kind it can
    suffer and demands a clean unwind, a verified degraded result and
@@ -287,46 +287,26 @@ let test_backend_applicability () =
   Alcotest.(check bool) "sim lists tls" true
     (List.mem C.Tls (C.supported ~backend:`Sim))
 
-(* ---------- deprecated wrappers ---------- *)
-
-(* The optional-argument entry points must keep working for one release
-   after the Request.t redesign, and must be exact synonyms for the
-   record form.  This is the only call site allowed to silence the
-   deprecation alert. *)
-let[@alert "-deprecated"] test_deprecated_wrappers () =
-  let wl = wl () in
-  let o = C.run ~input:Wl.Workload.Train ~technique:C.Barrier ~threads:4 wl in
-  Alcotest.(check bool) "run still verifies" true o.C.verified;
-  (match o.C.cost with
-  | C.Sim_cycles _ -> ()
-  | C.Wall_ns _ -> Alcotest.fail "run must default to the simulator");
-  let r =
-    C.run_request
-    @@ C.Request.make ~input:Wl.Workload.Train ~technique:C.Barrier ~threads:4
-         wl
-  in
-  Alcotest.(check bool)
-    "wrapper and record form agree on cost" true
-    (C.cost_value o.C.cost = C.cost_value r.C.cost);
-  Alcotest.(check string)
-    "wrapper and record form agree on source" r.C.policy_source
-    o.C.policy_source;
-  let p =
-    {
-      Xinv_cache.Policy.backend = `Sim;
-      technique = "barrier";
-      domains = 4;
-      grain = 1;
-      batch = 32;
-      sig_kind = `Segmented;
-      spec_distance = None;
-      epoch_size = 1000;
-    }
-  in
-  let n = C.run_policy ~input:Wl.Workload.Train p wl in
-  Alcotest.(check bool) "run_policy still verifies" true n.C.verified;
-  Alcotest.(check string)
-    "run_policy labels the source" "searched" n.C.policy_source
+(* [technique_of_string] inverts [technique_name] on every constructor, so
+   a policy or a wire request naming any technique selects exactly it. *)
+let test_technique_names_roundtrip () =
+  List.iter
+    (fun t ->
+      let name = C.technique_name t in
+      Alcotest.(check bool)
+        (name ^ " parses back") true
+        (C.technique_of_string name = Some t);
+      Alcotest.(check bool)
+        (name ^ " parses back upper-case") true
+        (C.technique_of_string (String.uppercase_ascii name) = Some t))
+    [ C.Sequential; C.Barrier; C.Doacross; C.Dswp; C.Inspector; C.Tls;
+      C.Domore; C.Domore_dup; C.Speccross; C.Speccross_inject 0;
+      C.Speccross_inject 3 ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true (C.technique_of_string s = None))
+    [ ""; "speccross-inject"; "speccross-inject@"; "speccross-inject@x";
+      "warp-drive" ]
 
 let suite =
   [
@@ -349,8 +329,8 @@ let suite =
       test_degraded_sequential_still_answers;
     Alcotest.test_case "api: per-backend applicability and support" `Quick
       test_backend_applicability;
-    Alcotest.test_case "api: deprecated wrappers still work" `Quick
-      test_deprecated_wrappers;
+    Alcotest.test_case "api: technique names round-trip" `Quick
+      test_technique_names_roundtrip;
   ]
   @ List.map
       (fun (technique, spec) ->

@@ -88,11 +88,16 @@ let test_frame_roundtrip () =
 (* ---------- request / protocol round-trips ---------- *)
 
 let sample_request =
-  SReq.make ~input:Wl.Workload.Train ~backend:`Native ~technique:"domore"
-    ~threads:3 ~policy:`Auto ~grain:2 ~batch:16 ~sig_kind:`Bloom
-    ~spec_distance:5 ~checkpoint_every:250 ~verify:false ~cache:`Ro
-    ~fault:"stall@1:7" ~deadline_ms:1250.5 ~priority:`High ~tenant:"acme"
-    (`Name "FDTD")
+  {
+    (SReq.make ~fault:"stall@1:7" ~deadline_ms:1250.5 ~priority:`High
+       ~tenant:"acme" (`Name "FDTD"))
+    with
+    SReq.spec =
+      Cx.Spec.make ~input:Wl.Workload.Train ~backend:`Native
+        ~technique:"domore" ~threads:3 ~mode:`Auto ~grain:2 ~batch:16
+        ~sig_kind:`Bloom ~spec_distance:5 ~checkpoint_every:250 ~verify:false
+        ~cache:`Ro ();
+  }
 
 let sample_snapshot () =
   let m = Xinv_obs.Metrics.create () in
@@ -105,7 +110,6 @@ let sample_snapshot () =
 let client_msgs () =
   [
     Proto.Run sample_request;
-    Proto.Run (SReq.make (`Inline "\000\001binary\255"));
     Proto.Ping;
     Proto.Stats;
     Proto.Shutdown;
@@ -184,9 +188,7 @@ let test_protocol_wrong_side () =
 let gen_request =
   let open QCheck.Gen in
   let str = string_size ~gen:(char_range '\000' '\255') (int_range 0 12) in
-  let* workload =
-    oneof [ map (fun s -> `Name s) str; map (fun s -> `Inline s) str ]
-  in
+  let* workload = str in
   let* input =
     oneofl
       [ Wl.Workload.Train; Wl.Workload.Train_spec; Wl.Workload.Ref;
@@ -194,25 +196,32 @@ let gen_request =
   in
   let* backend = oneofl [ `Sim; `Native ] in
   let* technique = str in
-  let* threads = int_range 1 64 in
-  let* policy = oneofl [ `Fixed; `Auto ] in
-  let* grain = int_range 1 100 in
-  let* batch = int_range 1 100 in
-  let* sig_kind =
-    oneofl [ None; Some `Range; Some `Segmented; Some `Bloom; Some `Exact ]
-  in
+  let* domains = int_range 0 64 in
+  let* grain = int_range 0 100 in
+  let* batch = int_range 0 100 in
+  let* sig_kind = oneofl [ `Range; `Segmented; `Bloom; `Exact ] in
   let* spec_distance = opt (int_range 0 50) in
-  let* checkpoint_every = int_range 1 100000 in
+  let* epoch_size = int_range 0 100000 in
+  let* mode = oneofl [ `Fixed; `Auto ] in
   let* verify = bool in
   let* cache = oneofl [ `Off; `Ro; `Rw ] in
   let* fault = opt str in
-  let* deadline = opt (map float_of_int (int_range 1 1000000)) in
+  let* deadline_ms = opt (map float_of_int (int_range 1 1000000)) in
   let* priority = oneofl [ `High; `Normal ] in
   let* tenant = str in
+  let policy =
+    { Xinv_cache.Policy.backend; technique; domains; grain; batch; sig_kind;
+      spec_distance; epoch_size }
+  in
   return
-    (SReq.make ~input ~backend ~technique ~threads ~policy ~grain ~batch
-       ?sig_kind ?spec_distance ~checkpoint_every ~verify ~cache ?fault
-       ?deadline_ms:deadline ~priority ~tenant workload)
+    {
+      SReq.workload;
+      spec = { Cx.Spec.input; policy; mode; verify; cache };
+      fault;
+      deadline_ms;
+      priority;
+      tenant;
+    }
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"random run request survives the wire" ~count:200
@@ -373,11 +382,30 @@ let test_bad_requests () =
       let j3 =
         Server.submit srv (native_req ~fault:"not-a-fault-spec" ())
       in
-      match Server.await j3 with
+      (match Server.await j3 with
       | Proto.Rejected (Proto.Bad_request _) -> ()
       | m ->
           Alcotest.failf "bad fault spec: %s"
-            (Format.asprintf "%a" Proto.pp_server m))
+            (Format.asprintf "%a" Proto.pp_server m));
+      (* out-of-bounds axes are rejected by the spec's validator before
+         anything runs, as the CLI rejects them *)
+      List.iter
+        (fun (what, edit) ->
+          let req = native_req () in
+          let spec = req.SReq.spec in
+          let req =
+            { req with SReq.spec = { spec with policy = edit spec.policy } }
+          in
+          match Server.await (Server.submit srv req) with
+          | Proto.Rejected (Proto.Bad_request _) -> ()
+          | m ->
+              Alcotest.failf "%s: %s" what
+                (Format.asprintf "%a" Proto.pp_server m))
+        [
+          ("threads 0", fun p -> { p with Xinv_cache.Policy.domains = 0 });
+          ("grain 0", fun p -> { p with Xinv_cache.Policy.grain = 0 });
+          ("batch 0", fun p -> { p with Xinv_cache.Policy.batch = 0 });
+        ])
 
 let test_deadline_missed_in_queue () =
   with_server ~domains:1 (fun srv ->
@@ -584,7 +612,7 @@ let test_tune_then_auto () =
                 (Format.asprintf "%a" Proto.pp_server m));
           (* a later [`Auto] run resolves the policy the tune stored *)
           let req =
-            SReq.make ~policy:`Auto ~cache:`Rw ~input:Wl.Workload.Train
+            SReq.make ~mode:`Auto ~cache:`Rw ~input:Wl.Workload.Train
               ~backend:`Native ~technique:"barrier" ~threads:2 (`Name "FDTD")
           in
           match Server.await (Server.submit srv req) with
@@ -595,6 +623,52 @@ let test_tune_then_auto () =
           | m ->
               Alcotest.failf "auto run: %s"
                 (Format.asprintf "%a" Proto.pp_server m)))
+
+(* A tuned policy wider than the daemon's pool: [`Auto] resolves it inside
+   the run, so the thread count is fitted to the pool after resolution, as
+   a [`Fixed] request of the same width is. *)
+let test_auto_policy_wider_than_pool () =
+  let dir = tmpdir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let wl = Wl.Registry.find "FDTD" in
+      let input = Wl.Workload.Train in
+      let cache = Xinv_cache.Analysis.make ~dir ~mode:`Rw () in
+      let policy =
+        { Xinv_cache.Policy.default with technique = "barrier"; domains = 4 }
+      in
+      Xinv_cache.Analysis.store_policy cache (wl.Wl.Workload.program input)
+        (wl.Wl.Workload.fresh_env input)
+        { Xinv_cache.Policy.policy; wall_ns = 1.; seq_wall_ns = 1.; trials = 1;
+          seed = 0 };
+      with_server ~domains:1 ~cache:`Ro ~cache_dir:dir (fun srv ->
+          Server.start srv;
+          List.iter
+            (fun mode ->
+              let req =
+                SReq.make ~mode ~cache:`Ro ~input ~backend:`Native
+                  ~technique:"sequential" ~threads:(if mode = `Auto then 1 else 4)
+                  (`Name "FDTD")
+              in
+              let req =
+                if mode = `Fixed then
+                  { req with SReq.spec = { req.SReq.spec with policy } }
+                else req
+              in
+              match Server.await (Server.submit srv req) with
+              | Proto.Outcome s ->
+                  Alcotest.(check string) "barrier ran" "barrier"
+                    s.Proto.o_technique;
+                  Alcotest.(check bool) "verified" true s.Proto.o_verified;
+                  if mode = `Auto then
+                    Alcotest.(check string) "tuned policy applied" "cached"
+                      s.Proto.o_policy_source
+              | m ->
+                  Alcotest.failf "%s: %s"
+                    (if mode = `Auto then "auto" else "fixed")
+                    (Format.asprintf "%a" Proto.pp_server m))
+            [ `Fixed; `Auto ]))
 
 (* ---------- socket integration ---------- *)
 
@@ -680,14 +754,25 @@ let test_socket_two_clients () =
    with
   | Proto.Rejected (Proto.Bad_request _) -> ()
   | m -> Alcotest.failf "garbage: %s" (Format.asprintf "%a" Proto.pp_server m));
-  (* an inline workload (a Marshal image) is refused at the socket
-     boundary without ever being submitted *)
+  (* a Run frame whose workload tag is not a registry name (tag 0) is a
+     typed rejection, and the daemon goes on serving the next client *)
   (match
-     SClient.call ~socket (Proto.Run (SReq.make (`Inline "\000\001junk\255")))
+     SClient.with_connection socket (fun fd ->
+         let w = Wire.writer () in
+         Wire.put_u8 w 1;
+         Wire.put_string w "\000\001junk\255";
+         let frame = Wire.encode_frame ~tag:1 (Wire.contents w) in
+         ignore (Unix.write_substring fd frame 0 (String.length frame));
+         Proto.recv_server fd)
    with
   | Proto.Rejected (Proto.Bad_request _) -> ()
   | m ->
-      Alcotest.failf "inline over socket: %s"
+      Alcotest.failf "unknown workload tag: %s"
+        (Format.asprintf "%a" Proto.pp_server m));
+  (match SClient.call ~socket (Proto.Run (sim_req ~tenant:"next" ())) with
+  | Proto.Outcome s when s.Proto.o_verified -> ()
+  | m ->
+      Alcotest.failf "next client after a bad tag: %s"
         (Format.asprintf "%a" Proto.pp_server m));
   (* a client that vanishes mid-request must not kill the daemon: its
      parked job is cancelled, and the reply that would have hit the dead
@@ -698,10 +783,10 @@ let test_socket_two_clients () =
   Thread.delay 0.05 (* let the run start and park on the poisoned cond *);
   Unix.close ghost;
   let deadline = Unix.gettimeofday () +. 5. in
-  while Server.served srv < 11 && Unix.gettimeofday () < deadline do
+  while Server.served srv < 12 && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  Alcotest.(check int) "ghost job finished after disconnect" 11
+  Alcotest.(check int) "ghost job finished after disconnect" 12
     (Server.served srv);
   (match SClient.call ~socket Proto.Ping with
   | Proto.Pong _ -> ()
@@ -714,7 +799,7 @@ let test_socket_two_clients () =
   (* clean shutdown: ack, socket unlinked, accept loop exits *)
   (match SClient.call ~socket Proto.Shutdown with
   | Proto.Shutdown_ack { served } ->
-      Alcotest.(check int) "ack served count" 11 served
+      Alcotest.(check int) "ack served count" 12 served
   | m ->
       Alcotest.failf "shutdown: %s" (Format.asprintf "%a" Proto.pp_server m));
   Thread.join daemon;
@@ -762,6 +847,8 @@ let suite =
       test_thousand_requests_one_pool;
     Alcotest.test_case "tune request feeds later auto runs" `Slow
       test_tune_then_auto;
+    Alcotest.test_case "auto policy wider than the pool is fitted" `Quick
+      test_auto_policy_wider_than_pool;
     Alcotest.test_case "two clients over the socket" `Slow
       test_socket_two_clients;
   ]

@@ -218,7 +218,7 @@ let test_tune_roundtrip () =
       (* `Auto resolution inside the facade finds the same artifact. *)
       let o =
         Cx.run_request @@ Cx.Request.make ~input:Wl.Workload.Train ~cache:`Ro ~cache_dir:dir
-          ~policy:`Auto ~technique:Cx.Barrier ~threads:2 wl
+          ~mode:`Auto ~technique:Cx.Barrier ~threads:2 wl
       in
       Alcotest.(check string)
         "run --policy auto resolves the cached policy" "cached"
@@ -234,21 +234,15 @@ let test_tune_roundtrip () =
 
 (* The autotuner must never trade correctness for speed: whatever policy
    it lands on, replaying it produces memory bit-identical to the
-   sequential run (a [`Reified] request verifies against the sequential
-   baseline). *)
+   sequential run ([Tune.apply] runs a request that verifies against the
+   sequential baseline). *)
 let test_policy_replay_all () =
   List.iter
     (fun wl ->
       let r =
         Tune.tune ~input:Wl.Workload.Train ~budget:4 ~seed:13 ~max_domains:2 wl
       in
-      let o =
-        Cx.run_request
-        @@ Cx.Request.make ~input:Wl.Workload.Train
-             ~backend:(`Native Cx.native_defaults)
-             ~policy:(`Reified (r.Tune.tuned.Policy.policy, "searched"))
-             ~technique:Cx.Sequential ~threads:1 wl
-      in
+      let o = Tune.apply ~input:Wl.Workload.Train r wl in
       Alcotest.(check bool)
         (wl.Wl.Workload.name ^ ": tuned policy replay bit-identical")
         true o.Cx.verified;
@@ -310,7 +304,7 @@ let test_adaptive_stream () =
   let last = ref None in
   for _ = 1 to 4 do
     let o =
-      Cx.run_request @@ Cx.Request.make ~input:Wl.Workload.Train ~policy:(`Adaptive ctl)
+      Cx.run_request @@ Cx.Request.make ~input:Wl.Workload.Train ~mode:`Auto ~adaptive:ctl
         ~technique:Cx.Barrier ~threads:2 wl
     in
     Alcotest.(check bool) "adaptive run verified" true o.Cx.verified;
