@@ -12,6 +12,11 @@
         ring with per-word [push]/[pop] (two seq_cst stores per word) versus
         [Batch]/[pop_chunk] (one store per burst).
 
+     3. barrier round trip ([nbar.round_trip]) — two domains of a
+        {!Xinv_native.Pool} run cross one {!Xinv_native.Nbar} N times with
+        no work in between: the per-episode cost of a wait, which the
+        {!Xinv_native.Backoff} policy sets.
+
    Modes:
      bench_contention           full measurement, table on stdout
      bench_contention --smoke   tiny iteration counts, correctness only
@@ -113,6 +118,26 @@ let spsc_batched_ns words =
   assert (!sum = words * (words + 1) / 2);
   ns
 
+(* -------- barrier round trip: what one episode costs -------- *)
+
+(* Through [Pool.run], as the engines do, so the active-domain count that
+   guards Backoff's long spin sees both parties. *)
+let nbar_round_trip_ns pool episodes =
+  let bar = Nat.Nbar.create ~parties:2 in
+  let cross () =
+    for _ = 1 to episodes do
+      Nat.Nbar.wait bar
+    done
+  in
+  let ns = time (fun () -> Nat.Pool.run pool [| cross; cross |]) in
+  assert (Nat.Nbar.waits bar = episodes);
+  ns /. float_of_int episodes
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
 let () =
   let smoke = Array.mem "--smoke" Sys.argv in
   let iters = if smoke then 10_000 else 2_000_000 in
@@ -120,6 +145,12 @@ let () =
   let cores = Domain.recommended_domain_count () in
   let adj = adjacent_ns iters and pad = padded_ns iters in
   let pw = spsc_per_word_ns words and ba = spsc_batched_ns words in
+  let episodes = if smoke then 1_000 else 20_000 and repeats = if smoke then 1 else 5 in
+  let trips =
+    Nat.Pool.with_pool ~workers:1 (fun pool ->
+        ignore (nbar_round_trip_ns pool episodes) (* warm-up *);
+        List.init repeats (fun _ -> nbar_round_trip_ns pool episodes))
+  in
   if smoke then
     Printf.printf "bench contention smoke: ok (%d cores)\n" cores
   else begin
@@ -134,5 +165,10 @@ let () =
     Printf.printf "  per-word push/pop             %7.2f ns/word\n"
       (pw /. float_of_int words);
     Printf.printf "  batched push/pop_chunk        %7.2f ns/word  (%.2fx)\n"
-      (ba /. float_of_int words) (pw /. ba)
+      (ba /. float_of_int words) (pw /. ba);
+    Printf.printf "nbar.round_trip (%d cores, 2 domains, %d episodes, 1 warm-up + %d repeats)\n"
+      cores episodes repeats;
+    Printf.printf "  ns/episode median %.0f  min %.0f  max %.0f\n" (median trips)
+      (List.fold_left Float.min infinity trips)
+      (List.fold_left Float.max 0. trips)
   end

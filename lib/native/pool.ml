@@ -40,6 +40,8 @@ let run ?wd ?(on_stall = fun (_ : exn) -> ()) t fns =
   if n = 0 then ()
   else begin
     if n - 1 > Array.length t.doms then invalid_arg "Pool.run: too many functions";
+    Backoff.add_active n;
+    Fun.protect ~finally:(fun () -> Backoff.add_active (-n)) @@ fun () ->
     let before = Array.init (n - 1) (fun i -> Atomic.get t.slots.(i).done_) in
     for i = 1 to n - 1 do
       let s = t.slots.(i - 1) in

@@ -1,10 +1,19 @@
 (** Persistent domain pool.
 
-    Domains are spawned once and park in a resident backoff loop between
-    jobs ("pinned" in the sense of one dedicated domain per worker for the
-    backend's whole lifetime; OS-level CPU affinity is left to the runner —
-    see EXPERIMENTS.md).  Spawning domains per run would dominate the
-    short regions the benchmarks measure. *)
+    Domains are spawned once and park in a resident {!Backoff} loop
+    between jobs: a worker that just finished spins for about as long as a
+    nap costs, so a job dispatched right behind the last one starts at
+    once, and then naps with escalation up to 500 us ("pinned" in the
+    sense of one dedicated domain per worker for the backend's whole
+    lifetime; OS-level CPU affinity is left to the runner — see
+    EXPERIMENTS.md).  Spawning domains per run would dominate the short
+    regions the benchmarks measure.
+
+    The pool keeps {!Backoff}'s active-domain count: for the duration of
+    {!run}, its caller and dispatched workers are added to it, summed over
+    concurrent runs on any pool.  While that count exceeds
+    [Domain.recommended_domain_count ()], every wait — the idle loop and
+    the join included — falls back to a short spin before napping. *)
 
 type t
 

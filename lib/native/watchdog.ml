@@ -64,13 +64,10 @@ let stall t ~role ~for_ ~started =
   let waited_ns = (Unix.gettimeofday () -. started) *. 1e9 in
   raise (Stalled { role; waiting_for = for_; waited_ns })
 
-(* Clock reads are amortized over the spin phase: during the first
-   [Backoff.spin_rounds] steps only every 32nd iteration checks the clock;
-   once the backoff escalates to naps, every iteration does (the nap
-   dominates the gettimeofday). *)
-let check_clock b =
-  let s = Backoff.steps b in
-  s land 31 = 0 || s > 128
+(* Clock reads are amortized over the spin phase, however long it lasts:
+   only every 32nd spin step checks the clock; once the backoff naps,
+   every iteration does (the nap dominates the gettimeofday). *)
+let check_clock b = Backoff.steps b land 31 = 0 || Backoff.napping b
 
 let wait ?(cancellable = true) t ~role ~for_ pred =
   if not (pred ()) then begin

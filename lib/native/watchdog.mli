@@ -37,8 +37,9 @@ val create : ?deadline_ms:float -> ?wait_timeout_ms:float -> unit -> t
 
 val wait :
   ?cancellable:bool -> t -> role:string -> for_:string -> (unit -> bool) -> unit
-(** [wait t ~role ~for_ pred] spins (with {!Backoff} escalation) until
-    [pred ()] holds.
+(** [wait t ~role ~for_ pred] waits with {!Backoff}'s policy — spin for
+    as long as a nap costs, then nap — until [pred ()] holds.  The time
+    bounds are checked on every 32nd spin step and on every nap.
     @raise Cancelled when the token is set (unless [cancellable:false],
       used by the pool join which must keep waiting for unwinding workers).
     @raise Stalled when a time bound is exceeded. *)

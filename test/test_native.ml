@@ -199,6 +199,74 @@ let test_work_spin () =
     true
     (ns > 10_000.0)
 
+(* ---------- wait policy ---------- *)
+
+let test_backoff_decision () =
+  let module B = Nat.Backoff in
+  let nap_cost = 60e-6 in
+  let spins ?(steps = 1000) ~elapsed ~active ~cores () =
+    B.phase ~steps ~elapsed ~nap_cost ~active ~cores = B.Spin
+  in
+  Alcotest.(check bool) "a young wait spins" true
+    (spins ~elapsed:1e-6 ~active:2 ~cores:2 ());
+  Alcotest.(check bool) "a wait older than the nap cost naps" false
+    (spins ~elapsed:61e-6 ~active:2 ~cores:2 ());
+  Alcotest.(check bool) "oversubscribed: round 128 spins" true
+    (spins ~steps:128 ~elapsed:0. ~active:3 ~cores:2 ());
+  Alcotest.(check bool) "oversubscribed: round 129 naps, however young" false
+    (spins ~steps:129 ~elapsed:1e-6 ~active:3 ~cores:2 ());
+  let samples = [ 1.0; 3e-4; 5e-4; 58e-6; 1e-3; 70e-6 ] in
+  let final =
+    List.fold_left
+      (fun cheapest sample ->
+        let next = B.lower_nap_cost ~cheapest ~sample in
+        Alcotest.(check bool)
+          (Printf.sprintf "estimate never rises (%g -> %g)" cheapest next)
+          true
+          (next <= cheapest && next <= B.max_nap);
+        next)
+      B.max_nap samples
+  in
+  Alcotest.(check (float 0.)) "estimate is the cheapest nap" 58e-6 final;
+  Alcotest.(check bool) "process estimate within max_nap" true
+    (B.nap_cost () > 0. && B.nap_cost () <= B.max_nap);
+  (* Pool keeps the count: callers plus dispatched workers, during the run
+     only. *)
+  let before = B.active_domains () in
+  Nat.Pool.with_pool ~workers:2 (fun pool ->
+      let seen = Array.make 3 0 in
+      Nat.Pool.run pool
+        (Array.init 3 (fun i () -> seen.(i) <- B.active_domains () - before));
+      Alcotest.(check (array int)) "every domain of a run is counted"
+        [| 3; 3; 3 |] seen);
+  Alcotest.(check int) "count drops when the run ends" before
+    (B.active_domains ())
+
+(* However long the spin phase lasts, the watchdog still reads the clock
+   often enough to bound the wait, with and without spare cores. *)
+let test_watchdog_bounds_spin () =
+  let stall_within label =
+    let wd = Nat.Watchdog.create ~wait_timeout_ms:2. () in
+    let stalled = ref false in
+    let ns =
+      Nat.Nrun.timed (fun () ->
+          try Nat.Watchdog.wait wd ~role:"test" ~for_:"never" (fun () -> false)
+          with Nat.Watchdog.Stalled _ -> stalled := true)
+    in
+    Alcotest.(check bool) (label ^ ": Stalled raised") true !stalled;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stalled within 100 ms (%.1f ms)" label (ns /. 1e6))
+      true (ns < 100e6)
+  in
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check bool) "spare cores" true (Nat.Backoff.active_domains () <= cores);
+  stall_within "spare cores";
+  let extra = cores + 1 in
+  Nat.Backoff.add_active extra;
+  Fun.protect
+    ~finally:(fun () -> Nat.Backoff.add_active (-extra))
+    (fun () -> stall_within "no spare cores")
+
 (* ---------- cross-validation against the simulator ---------- *)
 
 let sim_seq_env (wl : Wl.Workload.t) input =
@@ -311,6 +379,24 @@ let test_crossval_speccross () =
               end)
         (Wl.Registry.all ()))
 
+(* A pool wider than the machine: every wait falls back to the short spin,
+   and the engines must still finish and verify.  No timing threshold. *)
+let test_wider_than_cores () =
+  let threads = Domain.recommended_domain_count () + 1 in
+  let wl = Wl.Registry.find "SYMM" in
+  Nat.Pool.with_pool ~workers:(threads - 1) (fun pool ->
+      List.iter
+        (fun technique ->
+          let n =
+            C.run_request @@ C.Request.make
+              ~backend:(`Native { C.native_defaults with C.pool = Some pool })
+              ~input:Wl.Workload.Train ~technique ~threads wl
+          in
+          let name = Printf.sprintf "SYMM/%s/d%d" (C.technique_name technique) threads in
+          check_verified name n;
+          Alcotest.(check bool) (name ^ ": verified") true n.C.verified)
+        [ C.Barrier; C.Domore ])
+
 let test_native_inject_recovers () =
   let wl = Wl.Registry.find "SYMM" in
   let n =
@@ -420,6 +506,10 @@ let suite =
     Alcotest.test_case "pool: reuse and error propagation" `Quick
       test_pool_reuse_and_errors;
     Alcotest.test_case "work: calibrated spin" `Quick test_work_spin;
+    Alcotest.test_case "backoff: spin-or-nap decision and active count" `Quick
+      test_backoff_decision;
+    Alcotest.test_case "watchdog: bounds a long spin, with and without spare cores"
+      `Quick test_watchdog_bounds_spin;
     Alcotest.test_case "memory: native DOMORE vs sim sequential" `Quick
       test_native_memory_direct;
     Alcotest.test_case "cross-validate barrier (all workloads)" `Quick
@@ -428,6 +518,8 @@ let suite =
       test_crossval_domore;
     Alcotest.test_case "cross-validate SPECCROSS (all workloads)" `Quick
       test_crossval_speccross;
+    Alcotest.test_case "pool wider than cores: barrier, DOMORE verify" `Quick
+      test_wider_than_cores;
     Alcotest.test_case "speccross: injected misspeculation recovers" `Quick
       test_native_inject_recovers;
     Alcotest.test_case "speccross: bloom signatures" `Quick
