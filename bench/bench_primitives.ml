@@ -18,8 +18,10 @@
                                        by per-kernel minimum, which cancels
                                        slow machine drift
      bench_primitives --fingerprint    print makespan/tasks/checks/misspecs of
-                                       fixed DOMORE and SPECCROSS runs (perf
-                                       work must keep these bit-identical)
+                                       fixed DOMORE, duplicated-scheduler DOMORE
+                                       and SPECCROSS runs (perf work must keep
+                                       these bit-identical; runtest diffs them
+                                       against fingerprint.expected)
 
    The kernels go through the stable public API only, so the same driver
    measures any implementation of the primitives. *)
@@ -196,11 +198,16 @@ let fingerprint () =
        r.Xinv_parallel.Run.checks, r.Xinv_parallel.Run.misspecs)
       :: !runs
   in
-  let domore name threads =
+  let domore ?(dup = false) name threads =
     let wl = Wl.Registry.find name in
     let env = wl.Wl.Workload.fresh_env train in
     let p = wl.Wl.Workload.program train in
     match Ir.Mtcg.generate p env with
+    | Ir.Mtcg.Plan plan when dup ->
+        (* The duplicated scheduler has no scheduler thread: every thread
+           is a worker. *)
+        let config = Xinv_domore.Domore.default_config ~workers:threads in
+        record ("domore-dup." ^ name) (Xinv_domore.Duplicated.run ~config ~plan p env)
     | Ir.Mtcg.Plan plan ->
         let config = Xinv_domore.Domore.default_config ~workers:(threads - 1) in
         record ("domore." ^ name) (Xinv_domore.Domore.run ~config ~plan p env)
@@ -226,6 +233,8 @@ let fingerprint () =
   in
   domore "CG" 8;
   domore "BLACKSCHOLES" 8;
+  domore ~dup:true "CG" 8;
+  domore ~dup:true "BLACKSCHOLES" 8;
   speccross "JACOBI" 8 `Segmented;
   speccross "FDTD" 8 `Range;
   List.rev !runs

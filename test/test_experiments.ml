@@ -68,6 +68,14 @@ let test_verification_gate () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure for inapplicable technique"
 
+(* The simulator's renders are deterministic: pin two of them byte for byte,
+   as `crossinv experiment ID | md5sum` prints them.  tab5.2 reads the
+   scheduler/worker category split, so a cost charged to the wrong category
+   shows here even when makespans do not move. *)
+let test_render_pinned id md5 () =
+  let out = (Exp.find id).Exp.render () ^ "\n\n" in
+  Alcotest.(check string) (id ^ " render digest") md5 (Digest.to_hex (Digest.string out))
+
 let suite =
   [
     Alcotest.test_case "registry ids" `Quick test_registry_ids;
@@ -77,4 +85,8 @@ let suite =
     Alcotest.test_case "sweep and render" `Quick test_sweep_and_render;
     Alcotest.test_case "spec input selection" `Quick test_spec_input_selection;
     Alcotest.test_case "verification gate" `Quick test_verification_gate;
+    Alcotest.test_case "fig3.3 render pinned" `Quick
+      (test_render_pinned "fig3.3" "f120e08767dda292658ca582c1716ae4");
+    Alcotest.test_case "tab5.2 render pinned" `Quick
+      (test_render_pinned "tab5.2" "bb80703dbd708736e31fe16307e7c4df");
   ]
