@@ -6,7 +6,10 @@
     synchronization conditions to worker threads over lock-free queues.
     Workers stall only on conditions that name iterations they genuinely
     depend on, so iterations of consecutive invocations overlap — the
-    non-speculative exploitation of cross-invocation parallelism. *)
+    non-speculative exploitation of cross-invocation parallelism.
+
+    The protocol itself is {!Protocol.Make}; this is its simulator
+    instantiation ({!Sim_substrate}), one message per frame. *)
 
 type config = {
   machine : Xinv_sim.Machine.t;
@@ -31,15 +34,6 @@ val run :
     consumes no virtual time, so the run is bit-identical with and without
     it.  @raise Invalid_argument if the plan re-partitioned body statements
     into the scheduler (unsupported degenerate case). *)
-
-val transform_and_run :
-  ?config:config ->
-  ?obs:Xinv_obs.Recorder.t ->
-  Xinv_ir.Program.t ->
-  Xinv_ir.Env.t ->
-  (Xinv_parallel.Run.t, string) result
-(** Full pipeline: MTCG compile (against a pristine copy of the input
-    state), then {!run}. *)
 
 val scheduler_worker_ratio : Xinv_parallel.Run.t -> float
 (** Scheduler busy time over total worker work (Table 5.2's metric). *)

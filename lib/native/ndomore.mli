@@ -1,4 +1,6 @@
-(** Native DOMORE (dissertation Chapter 3) on real domains.
+(** Native DOMORE (dissertation Chapter 3) on real domains: the native
+    instantiation of {!Xinv_domore.Protocol.Make}, so every scheduling and
+    dependence decision is the simulator's.
 
     One scheduler domain executes the sequential regions, evaluates the
     address slice per iteration, detects dynamic dependences in shadow
@@ -8,15 +10,17 @@
     [Atomic] cells; a [Wait] condition spins until the named worker's cell
     reaches the named iteration.
 
-    Wire format (one word per message on the queue): words with low bits
-    00/01/10 are {!Xinv_runtime.Sync_cond.to_int} encodings; low bits 11
-    (the encoding's reserved tag) frame a Do-task header carrying the inner
-    index.  Bit 2 of the header selects the frame shape: clear means a
-    single iteration ([hdr; t; j; iter]), set means a chunk of [len]
-    consecutive iterations ([hdr; t; j0; len; iter0]) produced when
-    [grain > 1].  Words travel through per-worker write-combining buffers
-    ({!Spsc.Batch}): one atomic publish per [batch] words instead of one
-    per word, with the flushed stream identical to the unbatched one. *)
+    The native substrate frames each protocol message into queue words.
+    Wire format: words with low bits 00/01/10 are
+    {!Xinv_runtime.Sync_cond.to_int} encodings; low bits 11 (the encoding's
+    reserved tag) frame a Do-task header carrying the inner index.  Bit 2
+    of the header selects the frame shape: clear means a single iteration
+    ([hdr; t; j; iter]), set means a chunk of [len] consecutive iterations
+    ([hdr; t; j0; len; iter0]) produced when [grain > 1]; a chunk is framed
+    as soon as it holds [grain] iterations.  Words travel through
+    per-worker write-combining buffers ({!Spsc.Batch}): one atomic publish
+    per [batch] words instead of one per word, with the flushed stream
+    identical to the unbatched one. *)
 
 type config = {
   policy : Xinv_domore.Policy.t;

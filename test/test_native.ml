@@ -322,6 +322,7 @@ let test_crossval_barrier () =
         (Wl.Registry.all ()))
 
 let test_crossval_domore () =
+  let dup_conds = ref 0 in
   Nat.Pool.with_pool ~workers:(threads - 1) (fun pool ->
       List.iter
         (fun (wl : Wl.Workload.t) ->
@@ -345,8 +346,15 @@ let test_crossval_domore () =
               check_verified (name ^ "/domore-dup") d;
               Alcotest.(check int)
                 (name ^ "/domore-dup: task counts match")
-                sr.Par.Run.tasks (nrun d).Nat.Nrun.tasks)
-        (Wl.Registry.all ()))
+                sr.Par.Run.tasks (nrun d).Nat.Nrun.tasks;
+              let sd = Option.get (sim_outcome C.Domore_dup wl).C.run in
+              Alcotest.(check int)
+                (name ^ "/domore-dup: sync-condition counts match")
+                sd.Par.Run.checks (nrun d).Nat.Nrun.conds;
+              dup_conds := !dup_conds + sd.Par.Run.checks)
+        (Wl.Registry.all ()));
+  (* Matching counts are only evidence if some run forwarded conditions. *)
+  Alcotest.(check bool) "domore-dup forwards conditions somewhere" true (!dup_conds > 0)
 
 let test_crossval_speccross () =
   Nat.Pool.with_pool ~workers:(threads - 1) (fun pool ->
