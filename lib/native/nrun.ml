@@ -22,6 +22,27 @@ let timed f =
   f ();
   1e9 *. (Unix.gettimeofday () -. t0)
 
+let run_cohort ~pool ~wd ~release fns =
+  let cancel_cohort e =
+    ignore (Watchdog.cancel wd e);
+    release ()
+  in
+  let guard fn () =
+    try fn ()
+    with e -> (
+      let first = Watchdog.cancel wd e in
+      release ();
+      match e with
+      | (Watchdog.Cancelled _ | Spsc.Closed | Nbar.Poisoned) when not first -> ()
+      | _ -> raise e)
+  in
+  timed (fun () ->
+      try Pool.run ~wd ~on_stall:cancel_cohort pool (Array.map guard fns)
+      with e -> (
+        match Watchdog.root_cause wd with
+        | Some root when root != e -> raise root
+        | _ -> raise e))
+
 let speedup ~seq_wall_ns t = if t.wall_ns <= 0. then 1.0 else seq_wall_ns /. t.wall_ns
 
 let dominant_stall t =

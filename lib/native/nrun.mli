@@ -37,6 +37,14 @@ val dominant_stall : t -> string option
 val timed : (unit -> unit) -> float
 (** Wall-clock nanoseconds the thunk took. *)
 
+val run_cohort :
+  pool:Pool.t -> wd:Watchdog.t -> release:(unit -> unit) -> (unit -> unit) array -> float
+(** Run an engine's roles on [pool]; returns wall-clock ns.  A failing role
+    or a stalled join cancels [wd] and calls [release], which wakes peers
+    blocked on the engine's queues or barrier; their {!Watchdog.Cancelled},
+    {!Spsc.Closed} or {!Nbar.Poisoned} unwinds are not failures of their
+    own.  The root failure is re-raised once every role ended. *)
+
 val speedup : seq_wall_ns:float -> t -> float
 
 val pp : Format.formatter -> t -> unit
